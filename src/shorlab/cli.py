@@ -67,6 +67,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must satisfy 0 <= seed < 2**64, got {value}")
+    return value
+
+
 def _manifest(command: str, config: dict) -> dict:
     return {
         "command": command,
@@ -98,7 +105,7 @@ def build_parser() -> _Parser:
 
     p_factor = sub.add_parser("factor", help="run the five-step factoring pipeline")
     p_factor.add_argument("N", type=int)
-    p_factor.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+    p_factor.add_argument("--seed", type=_seed, default=0, help="64-bit RNG seed")
     p_factor.add_argument("--retries", type=_positive_int, default=100)
     p_factor.add_argument("--forced-m", type=int, default=None)
     p_factor.add_argument("--forced-y", type=int, default=None)
@@ -121,7 +128,7 @@ def build_parser() -> _Parser:
     p_mc.add_argument("N", type=int)
     p_mc.add_argument("m", type=int)
     p_mc.add_argument("trials", type=_positive_int)
-    p_mc.add_argument("--seed", type=int, default=0)
+    p_mc.add_argument("--seed", type=_seed, default=0, help="64-bit RNG seed")
     p_mc.add_argument("--forced-y", type=int, default=None)
 
     p_rep = sub.add_parser("replicate", help="re-run the embedded N=91 worked example")

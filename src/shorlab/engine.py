@@ -2,30 +2,33 @@
 
 Two independent routes to the same measurement statistics:
 
-* a sparse two-register state vector evolved through the actual circuit
-  (initialize -> Fourier transform -> modular-exponentiation entangler ->
-  Fourier transform -> measure register 1), and
+* a two-register state evolved through the actual circuit (initialize ->
+  Fourier transform -> modular-exponentiation entangler -> Fourier
+  transform -> measure register 1), and
 * the closed-form outcome distribution derived from the decomposition
   Q = P*q + r of the register size by the period.
 
 The two must agree entrywise to 1e-9; the test suite enforces this.
 
-The joint state is a sparse map keyed by (register-1 index, register-2
-value).  Register 2 never holds more than P distinct values, so the state
-has at most Q*P nonzero amplitudes; the dense Q*Q joint space is never
-materialized.
+The joint state is held as dense register-1 rows, one complex128 row of
+length Q per occupied register-2 value.  Register 2 never holds more than
+P distinct values, so the circuit's state takes at most P*Q*16 bytes
+(1.5 MiB for N=91, m=3); the dense Q*Q joint space is never materialized.
+Each transform is one batched FFT over the rows, and the entangler moves
+amplitudes between rows through a table of m**x mod N.  The circuit
+route never reads the period: its rows are whatever register-2 values
+the entangler produces.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numtheory import DEFAULT_MAX_N, gcd_euclid, smallest_magnitude_residue
-
-Amplitudes = dict[tuple[int, int], complex]
 
 
 class CapacityError(Exception):
@@ -39,11 +42,6 @@ class RegisterGeometry:
     N: int
     Q: int
     L: int
-
-    @property
-    def omega_angle(self) -> float:
-        """Angle 2*pi/Q of the primitive Q-th root of unity used by the transform."""
-        return 2.0 * math.pi / self.Q
 
 
 @dataclass(frozen=True)
@@ -59,22 +57,81 @@ class ModExpFunction:
         if gcd_euclid(self.m % self.N, self.N) != 1:
             raise ValueError(f"base and modulus must be coprime: gcd({self.m}, {self.N}) != 1")
 
-    def __call__(self, a: int) -> int:
-        return pow(self.m, a, self.N)
+    def table(self, size: int) -> np.ndarray:
+        """m**x mod N for x = 0..size-1, by repeated squaring over whole blocks.
+
+        Once x < k is filled, the block k <= x < 2k is that prefix times
+        m**k, and squaring m**k gives the next block's multiplier.  Every
+        product is of two residues below N, so int64 is exact while
+        N^2 < 2**63 (the size cap keeps N far below that).
+        """
+        values = np.empty(size, dtype=np.int64)
+        values[:1] = 1 % self.N
+        filled, power = 1, self.m % self.N  # power = m**filled mod N
+        while filled < size:
+            block = min(filled, size - filled)
+            values[filled : filled + block] = values[:block] * power % self.N
+            filled += block
+            power = power * power % self.N
+        return values
 
 
-@dataclass
+class _Amplitudes(Mapping):
+    """Read-only {(x, v): amplitude} view of a state's rows, zeros included."""
+
+    def __init__(self, levels: np.ndarray, rows: np.ndarray):
+        self._index = {int(v): i for i, v in enumerate(levels)}
+        self._rows = rows
+
+    def __getitem__(self, key: tuple[int, int]) -> complex:
+        x, v = key
+        if v not in self._index or not 0 <= x < self._rows.shape[1]:
+            raise KeyError(key)
+        return complex(self._rows[self._index[v], x])
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for v in self._index:
+            for x in range(self._rows.shape[1]):
+                yield (x, v)
+
+    def __len__(self) -> int:
+        return self._rows.size
+
+
+@dataclass(frozen=True, eq=False)
 class JointState:
-    """Sparse two-register state: amplitudes[(x, v)] with unit 2-norm."""
+    """Two-register state: rows[i, x] is the amplitude of |x>|levels[i]>.
+
+    ``levels`` holds the occupied register-2 values, sorted and distinct;
+    ``rows`` is complex128 of shape (len(levels), Q).
+    """
 
     geometry: RegisterGeometry
-    amplitudes: Amplitudes
+    levels: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def from_dict(
+        cls, geometry: RegisterGeometry, amplitudes: Mapping[tuple[int, int], complex]
+    ) -> JointState:
+        """State from a sparse {(x, v): amplitude} map; absent entries are zero."""
+        levels = np.array(sorted({v for _, v in amplitudes}), dtype=np.int64)
+        rows = np.zeros((levels.size, geometry.Q), dtype=np.complex128)
+        for (x, v), amp in amplitudes.items():
+            if not 0 <= x < geometry.Q:
+                raise ValueError(f"register-1 index {x} out of range for Q={geometry.Q}")
+            rows[np.searchsorted(levels, v), x] = amp
+        return cls(geometry, levels, rows)
+
+    @property
+    def amplitudes(self) -> Mapping[tuple[int, int], complex]:
+        return _Amplitudes(self.levels, self.rows)
 
     def norm(self) -> float:
-        return math.sqrt(sum((a * a.conjugate()).real for a in self.amplitudes.values()))
+        return math.sqrt(float(_probabilities(self.rows).sum()))
 
     def register2_values(self) -> set[int]:
-        return {v for (_, v) in self.amplitudes}
+        return {int(v) for v in self.levels}
 
 
 @dataclass
@@ -116,91 +173,65 @@ def geometry_for(n: int, q: int) -> RegisterGeometry:
     return RegisterGeometry(N=n, Q=q, L=q.bit_length() - 1)
 
 
+def _probabilities(rows: np.ndarray) -> np.ndarray:
+    return rows.real**2 + rows.imag**2
+
+
 def initialize(geometry: RegisterGeometry) -> JointState:
-    """Both registers in |0>: a single unit amplitude at (0, 0)."""
-    return JointState(geometry=geometry, amplitudes={(0, 0): 1.0 + 0.0j})
+    """Both registers in |0>: one row, register-2 value 0, unit amplitude at x = 0."""
+    rows = np.zeros((1, geometry.Q), dtype=np.complex128)
+    rows[0, 0] = 1.0
+    return JointState(geometry, np.zeros(1, dtype=np.int64), rows)
 
 
 def apply_qft_reg1(state: JointState) -> JointState:
-    """Q-point Fourier transform on register 1, one register-2 slice at a time.
+    """Q-point Fourier transform on register 1, every register-2 row at once.
 
-    For each fixed register-2 value v the register-1 amplitude slice is
-    mapped through Q**-0.5 * sum_x amp[x] * omega**(x*y) with
+    Each row is mapped through Q**-0.5 * sum_x amp[x] * omega**(x*y) with
     omega = e^(2*pi*i/Q).  numpy's inverse FFT uses exactly this positive
-    sign convention, so the transform is sqrt(Q) * ifft per slice; the
-    test suite pins it against the dense unitary matrix.
+    sign convention, so the transform is sqrt(Q) * ifft along the rows;
+    the test suite pins it against the dense unitary matrix.
     """
-    Q = state.geometry.Q
-    slices: dict[int, list[tuple[int, complex]]] = {}
-    for (x, v), amp in state.amplitudes.items():
-        slices.setdefault(v, []).append((x, amp))
-    sqrt_q = math.sqrt(Q)
-    out: Amplitudes = {}
-    for v, entries in slices.items():
-        vec = np.zeros(Q, dtype=np.complex128)
-        for x, amp in entries:
-            vec[x] = amp
-        transformed = np.fft.ifft(vec) * sqrt_q
-        for y in range(Q):
-            out[(y, v)] = complex(transformed[y])
-    return JointState(geometry=state.geometry, amplitudes=out)
-
-
-def apply_hadamard_reg1(state: JointState) -> JointState:
-    """One 2-point transform per register-1 qubit (the L-fold Hadamard).
-
-    On |0> this produces the same uniform superposition as the full
-    Q-point transform; on other inputs the two differ.
-    """
-    geometry = state.geometry
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    amplitudes = dict(state.amplitudes)
-    for bit in range(geometry.L):
-        mask = 1 << bit
-        out: Amplitudes = {}
-        for (x, v), amp in amplitudes.items():
-            lo, hi = (x & ~mask, v), (x | mask, v)
-            sign = -1.0 if x & mask else 1.0
-            out[lo] = out.get(lo, 0.0 + 0.0j) + inv_sqrt2 * amp
-            out[hi] = out.get(hi, 0.0 + 0.0j) + sign * inv_sqrt2 * amp
-        amplitudes = out
-    return JointState(geometry=geometry, amplitudes=amplitudes)
+    rows = np.fft.ifft(state.rows, axis=1) * math.sqrt(state.geometry.Q)
+    return JointState(state.geometry, state.levels, rows)
 
 
 def apply_modexp_entangler(state: JointState, f: ModExpFunction) -> JointState:
     """The involutive entangler |x>|l> -> |x>|f(x) - l mod N>.
 
-    A pure basis permutation: amplitudes are re-keyed, never combined, so
-    the norm is preserved exactly and applying it twice is the identity.
-    On register-2 value 0 it reduces to |x>|0> -> |x>|f(x)>.
+    A pure basis permutation: every nonzero amplitude moves to the row of
+    its new register-2 value and keeps its column, never combined with
+    another, so the norm is preserved exactly and applying it twice
+    restores the state.  On register-2 value 0 it reduces to
+    |x>|0> -> |x>|f(x)>.
     """
     n = f.N
-    out: Amplitudes = {}
-    for (x, level), amp in state.amplitudes.items():
-        if level >= n:
-            raise ValueError(f"register-2 value {level} out of range for modulus {n}")
-        out[(x, (f(x) - level) % n)] = amp
-    return JointState(geometry=state.geometry, amplitudes=out)
+    if state.levels.size and state.levels[-1] >= n:
+        raise ValueError(f"register-2 value {state.levels[-1]} out of range for modulus {n}")
+    row, x = np.nonzero(state.rows)
+    targets = (f.table(state.geometry.Q)[x] - state.levels[row]) % n
+    levels, target_row = np.unique(targets, return_inverse=True)
+    rows = np.zeros((levels.size, state.geometry.Q), dtype=np.complex128)
+    rows[target_row, x] = state.rows[row, x]
+    return JointState(state.geometry, levels, rows)
 
 
 def reg1_distribution(state: JointState) -> OutcomeDistribution:
     """Probability of each register-1 outcome: column sums of |amplitude|^2."""
-    probs = np.zeros(state.geometry.Q)
-    for (x, _), amp in state.amplitudes.items():
-        probs[x] += (amp * amp.conjugate()).real
-    return OutcomeDistribution(geometry=state.geometry, probs=probs)
+    return OutcomeDistribution(state.geometry, _probabilities(state.rows).sum(axis=0))
 
 
 def collapse_reg1(state: JointState, y0: int) -> JointState:
     """Project register 1 onto |y0> and renormalize the surviving column."""
-    column = {key: amp for key, amp in state.amplitudes.items() if key[0] == y0}
-    norm = math.sqrt(sum((a * a.conjugate()).real for a in column.values()))
+    if not 0 <= y0 < state.geometry.Q:
+        raise ValueError(f"outcome {y0} outside the sample space of size {state.geometry.Q}")
+    column = state.rows[:, y0]
+    norm = math.sqrt(float(_probabilities(column).sum()))
     if norm == 0.0:
         raise ValueError(f"outcome {y0} has zero probability; collapse undefined")
-    return JointState(
-        geometry=state.geometry,
-        amplitudes={key: amp / norm for key, amp in column.items()},
-    )
+    rows = np.zeros_like(state.rows)
+    rows[:, y0] = column / norm
+    return JointState(state.geometry, state.levels, rows)
 
 
 def measure_reg1(state: JointState, rng: np.random.Generator) -> tuple[int, JointState]:

@@ -251,6 +251,9 @@ def shor_factor(n: int, config: ShorConfig | None = None) -> tuple[StepOutcome, 
         geometry = engine.choose_geometry(n)
     trace = FactorizationTrace(N=n, Q=geometry.Q, L=geometry.L)
     outcome = StepOutcome(OutcomeKind.PERIOD_RECOVERY_FAILED)
+    # The circuit is deterministic in (geometry, m): an attempt that draws
+    # the previous attempt's base measures the same state again.
+    circuit_m, state = None, None
     for _ in range(config.max_outer_retries):
         if config.forced_m is not None:
             m = config.forced_m
@@ -263,7 +266,9 @@ def shor_factor(n: int, config: ShorConfig | None = None) -> tuple[StepOutcome, 
                 AttemptRecord(m, g, None, (), None, OutcomeKind.LUCKY_GCD)
             )
             break
-        state = engine.period_finding_state(geometry, engine.ModExpFunction(m, n))
+        if m != circuit_m:
+            state = engine.period_finding_state(geometry, engine.ModExpFunction(m, n))
+            circuit_m = m
         if config.forced_y is not None:
             y = config.forced_y
             engine.collapse_reg1(state, y)  # rejects zero-probability outcomes
@@ -361,10 +366,25 @@ class MonteCarloResult:
     asymptotic_bound: dict
 
 
+# Philox emits its 64-bit outputs in blocks of four per counter value;
+# each uniform consumes one output.
+PHILOX_BLOCK = 4
+
+
+def trial_uniforms(master_seed: int, trials: int) -> np.ndarray:
+    """The uniform draws of trials 0..trials-1: the first ``trials`` doubles
+    of a Philox counter-based stream keyed by the master seed."""
+    return np.random.Generator(np.random.Philox(key=master_seed)).random(trials)
+
+
 def trial_uniform(master_seed: int, trial_index: int) -> float:
-    """The uniform draw for one trial: a deterministic function of (seed, index),
-    so each trial is independently replayable."""
-    return float(np.random.default_rng([master_seed, trial_index]).random())
+    """Element ``trial_index`` of ``trial_uniforms(master_seed, ...)``, computed
+    alone: the counter jumps straight to the trial's block, so any single
+    trial can be replayed without drawing the ones before it."""
+    bit_generator = np.random.Philox(key=master_seed)
+    bit_generator.advance(trial_index // PHILOX_BLOCK)
+    draws = np.random.Generator(bit_generator).random(trial_index % PHILOX_BLOCK + 1)
+    return float(draws[-1])
 
 
 def monte_carlo_step2(
@@ -380,7 +400,8 @@ def monte_carlo_step2(
     so its distribution is simulated once and each trial draws one outcome
     from it by inverse CDF (a forced outcome replaces the draw).  A trial
     succeeds when the convergent scan returns exactly the multiplicative
-    order of m.
+    order of m.  The scan is a function of the outcome alone, so it runs
+    once per distinct outcome and counts for every trial that drew it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -389,21 +410,24 @@ def monte_carlo_step2(
     geometry = engine.choose_geometry(n)
     period = numtheory.multiplicative_order(m, n)
     dist = engine.simulated_distribution(geometry, engine.ModExpFunction(m, n))
-    cumulative = np.cumsum(dist.probs)
+    if forced_y is not None:
+        outcomes, counts = [forced_y], [trials]
+    else:
+        cumulative = np.cumsum(dist.probs)
+        draws = trial_uniforms(seed, trials) * cumulative[-1]
+        ys, counts = np.unique(
+            np.searchsorted(cumulative, draws, side="right"), return_counts=True
+        )
+        outcomes, counts = ys.tolist(), counts.tolist()
     histogram = {"recovered_order": 0, "recovered_multiple": 0, "unrecovered": 0}
-    for i in range(trials):
-        if forced_y is not None:
-            y = forced_y
-        else:
-            u = trial_uniform(seed, i) * cumulative[-1]
-            y = int(np.searchsorted(cumulative, u, side="right"))
+    for y, count in zip(outcomes, counts):
         recovery = step25_recover_period(y, geometry.Q, m, n)
         if recovery.period == period:
-            histogram["recovered_order"] += 1
+            histogram["recovered_order"] += count
         elif recovery.period is not None:
-            histogram["recovered_multiple"] += 1
+            histogram["recovered_multiple"] += count
         else:
-            histogram["unrecovered"] += 1
+            histogram["unrecovered"] += count
     successes = histogram["recovered_order"]
     low, high = wilson_interval(successes, trials)
     return MonteCarloResult(

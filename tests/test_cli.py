@@ -204,3 +204,15 @@ def test_replicate_json_and_perturbation(capsys):
     assert payload["pass"] is False
     broken = {f["field"] for f in payload["fields"] if not f["ok"]}
     assert "factor" in broken
+
+
+@pytest.mark.parametrize("argv", [("factor", "15"), ("montecarlo", "15", "2", "10")])
+def test_seed_outside_64_bits_is_usage_error(capsys, argv):
+    for seed in (-1, 2**64):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, "--seed", str(seed)])
+        assert excinfo.value.code == 64
+        assert "0 <= seed < 2**64" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, *argv, "--seed", str(2**64 - 1))
+    assert code == 0
+    assert json.loads(out)["manifest"]["config"]["seed"] == 2**64 - 1

@@ -13,7 +13,6 @@ from shorlab.engine import (
     CapacityError,
     ModExpFunction,
     RegisterGeometry,
-    apply_hadamard_reg1,
     apply_modexp_entangler,
     apply_qft_reg1,
     choose_geometry,
@@ -68,7 +67,7 @@ def test_geometry_for_validates():
 
 def test_initialize_is_point_mass():
     state = initialize(choose_geometry(91))
-    assert state.amplitudes == {(0, 0): 1.0 + 0.0j}
+    assert support.nonzero_amplitudes(state) == {(0, 0): 1.0 + 0.0j}
     assert abs(state.norm() - 1.0) < 1e-15
     dist = reg1_distribution(state)
     assert dist.probs[0] == 1.0 and dist.probs.sum() == 1.0
@@ -87,7 +86,7 @@ def test_qft_on_initial_state_is_uniform():
 
 def test_qft_two_point_is_hadamard():
     geometry = RegisterGeometry(N=2, Q=2, L=1)
-    state = apply_qft_reg1(engine.JointState(geometry, {(0, 0): 1.0 + 0.0j}))
+    state = apply_qft_reg1(engine.JointState.from_dict(geometry, {(0, 0): 1.0 + 0.0j}))
     r = 1.0 / math.sqrt(2.0)
     assert abs(state.amplitudes[(0, 0)] - r) < 1e-15
     assert abs(state.amplitudes[(1, 0)] - r) < 1e-15
@@ -110,11 +109,12 @@ def test_qft_unitarity_and_fourth_power_identity():
     support.check_qft_unitarity_and_fourth_power()
 
 
-def test_hadamard_matches_qft_on_zero_state():
-    geometry = choose_geometry(15)
-    via_hadamard = apply_hadamard_reg1(initialize(geometry))
-    via_qft = apply_qft_reg1(initialize(geometry))
-    assert support.max_state_diff(via_hadamard, via_qft) < 1e-12
+def test_modexp_table_matches_running_product():
+    for m, n, size in ((3, 91, 16384), (2, 15, 256), (7, 15, 2), (2, 9, 1)):
+        expected = [1 % n]
+        while len(expected) < size:
+            expected.append(expected[-1] * m % n)
+        assert ModExpFunction(m, n).table(size).tolist() == expected
 
 
 def test_entangler_builds_modexp_slices():
@@ -130,14 +130,14 @@ def test_entangler_builds_modexp_slices():
 def test_entangler_single_ket_and_involution():
     geometry = choose_geometry(91)
     f = ModExpFunction(3, 91)
-    single = engine.JointState(geometry, {(5, 0): 1.0 + 0.0j})
-    assert apply_modexp_entangler(single, f).amplitudes == {(5, 61): 1.0 + 0.0j}
+    single = engine.JointState.from_dict(geometry, {(5, 0): 1.0 + 0.0j})
+    assert support.nonzero_amplitudes(apply_modexp_entangler(single, f)) == {(5, 61): 1.0 + 0.0j}
     support.check_entangler_involution()
 
 
 def test_entangler_rejects_out_of_range_register2():
     geometry = choose_geometry(15)
-    bad = engine.JointState(geometry, {(0, 15): 1.0 + 0.0j})
+    bad = engine.JointState.from_dict(geometry, {(0, 15): 1.0 + 0.0j})
     with pytest.raises(ValueError):
         apply_modexp_entangler(bad, ModExpFunction(2, 15))
 
@@ -224,6 +224,19 @@ def test_simulation_agrees_with_closed_form():
         assert simulated.probs.min() >= 0.0 and closed.probs.min() >= 0.0
 
 
+def test_simulation_agrees_with_closed_form_every_odd_composite():
+    # 2 is a unit of every odd modulus
+    primes = set(support.sieve_primes(101))
+    composites = [n for n in range(9, 101, 2) if n not in primes]
+    assert len(composites) == 25
+    for n in composites:
+        geometry = choose_geometry(n)
+        period = multiplicative_order(2, n)
+        simulated = simulated_distribution(geometry, ModExpFunction(2, n))
+        closed = closed_form_distribution(closed_form_params(period, geometry.Q), geometry)
+        assert np.max(np.abs(simulated.probs - closed.probs)) <= 1e-9, n
+
+
 def test_probability_floor_over_small_residues():
     # outcomes whose scaled residue is small keep probability >= the
     # (4/pi^2)/P floor; the zero-residue outcomes keep the stronger 1/P floor
@@ -279,7 +292,7 @@ def test_collapse_on_forced_outcome():
     n, m, y0 = 91, 3, 13453
     state = period_finding_state(choose_geometry(n), ModExpFunction(m, n))
     collapsed = collapse_reg1(state, y0)
-    assert {x for (x, _) in collapsed.amplitudes} == {y0}
+    assert {x for (x, _) in support.nonzero_amplitudes(collapsed)} == {y0}
     assert abs(collapsed.norm() - 1.0) < 1e-12
     assert len(collapsed.register2_values()) <= 6
     # collapsed register-2 amplitudes stay proportional to the original column
@@ -296,18 +309,18 @@ def test_collapse_on_forced_outcome():
 
 def test_collapse_rejects_zero_probability_outcome():
     geometry = choose_geometry(15)
-    state = engine.JointState(geometry, {(7, 1): 1.0 + 0.0j})
+    state = engine.JointState.from_dict(geometry, {(7, 1): 1.0 + 0.0j})
     with pytest.raises(ValueError):
         collapse_reg1(state, 8)
 
 
 def test_measure_point_mass_and_seed_determinism():
     geometry = choose_geometry(15)
-    state = engine.JointState(geometry, {(7, 2): 1.0 + 0.0j})
+    state = engine.JointState.from_dict(geometry, {(7, 2): 1.0 + 0.0j})
     for seed in (0, 1, 2**63 - 1):
         y0, collapsed = measure_reg1(state, np.random.default_rng(seed))
         assert y0 == 7
-        assert collapsed.amplitudes == {(7, 2): 1.0 + 0.0j}
+        assert support.nonzero_amplitudes(collapsed) == {(7, 2): 1.0 + 0.0j}
     state2 = period_finding_state(geometry, ModExpFunction(2, 15))
     draws_a = [measure_reg1(state2, np.random.default_rng(42))[0] for _ in range(5)]
     draws_b = [measure_reg1(state2, np.random.default_rng(42))[0] for _ in range(5)]
@@ -318,7 +331,7 @@ def test_measure_frequencies_match_distribution():
     # known 4-point distribution; 1e5 draws within 3-sigma multinomial bands
     geometry = RegisterGeometry(N=2, Q=4, L=2)
     weights = [0.1, 0.2, 0.3, 0.4]
-    state = engine.JointState(
+    state = engine.JointState.from_dict(
         geometry, {(x, 0): complex(math.sqrt(w)) for x, w in enumerate(weights)}
     )
     draws = 10**5

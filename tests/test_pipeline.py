@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import support
-from shorlab import pipeline
+from shorlab import engine, pipeline
 from shorlab.engine import choose_geometry, closed_form_params, closed_form_prob
 from shorlab.numtheory import (
     euler_totient,
@@ -168,6 +168,26 @@ def test_shor_factor_retries_exhausted():
     assert all(a.outcome_kind is OutcomeKind.PERIOD_RECOVERY_FAILED for a in trace.attempts)
 
 
+def test_shor_factor_reuses_circuit_for_repeated_base(monkeypatch):
+    # Each single-attempt run simulates its own circuit: together they are
+    # the uncached three-attempt run.
+    _, one_attempt = shor_factor(91, ShorConfig(forced_m=3, forced_y=0, max_outer_retries=1))
+    calls = []
+    real = engine.period_finding_state
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "period_finding_state", counting)
+    _, trace = shor_factor(91, ShorConfig(forced_m=3, forced_y=0, max_outer_retries=3))
+    assert len(calls) == 1
+    expected = one_attempt.to_dict()
+    expected["attempts"] *= 3
+    expected["retries"] = 3
+    assert trace.to_dict() == expected
+
+
 def test_trace_replay_reproduces_convergent_tests():
     _, trace = shor_factor(21, ShorConfig(rng_seed=5))
     assert trace.attempts
@@ -297,6 +317,22 @@ def test_monte_carlo_reproducible_and_forced():
     assert forced_hit.success_fraction == 1.0
     forced_miss = monte_carlo_step2(15, 2, 1, seed=0, forced_y=0)
     assert forced_miss.success_fraction == 0.0
+
+
+def test_trial_uniforms_match_single_trial_replay():
+    trials = 1000
+    for seed in (0, 2**64 - 1):
+        batch = pipeline.trial_uniforms(seed, trials)
+        assert batch.shape == (trials,)
+        for i in [*range(10), trials - 1]:
+            assert batch[i] == pipeline.trial_uniform(seed, i), (seed, i)
+
+
+def test_monte_carlo_matches_naive_per_trial_loop():
+    for n, m, trials in ((15, 2, 500), (91, 3, 2000)):
+        for seed in (0, 11):
+            result = monte_carlo_step2(n, m, trials, seed=seed)
+            assert result.histogram == support.naive_monte_carlo_histogram(n, m, trials, seed)
 
 
 def test_monte_carlo_rejects_bad_input():
