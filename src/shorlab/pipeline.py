@@ -14,6 +14,8 @@ period-recovery decisions exactly.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -366,25 +368,35 @@ class MonteCarloResult:
     asymptotic_bound: dict
 
 
-# Philox emits its 64-bit outputs in blocks of four per counter value;
-# each uniform consumes one output.
-PHILOX_BLOCK = 4
+# Trial i's uniform is the i-th double of a Philox counter-based stream
+# keyed by the seed.  The stream is cut into blocks of UNIFORM_BLOCK draws
+# (a multiple of Philox's four outputs per counter value), so any block
+# can be drawn without the ones before it.
+UNIFORM_BLOCK = 1 << 12
+# Trials whose draws and outcome indices are held at once in Monte Carlo.
+MONTE_CARLO_CHUNK = 1 << 16
 
 
-def trial_uniforms(master_seed: int, trials: int) -> np.ndarray:
-    """The uniform draws of trials 0..trials-1: the first ``trials`` doubles
-    of a Philox counter-based stream keyed by the master seed."""
-    return np.random.Generator(np.random.Philox(key=master_seed)).random(trials)
+@functools.lru_cache(maxsize=1)
+def _uniform_block(master_seed: int, block: int) -> np.ndarray:
+    bit_generator = np.random.Philox(key=master_seed)
+    bit_generator.advance(block * UNIFORM_BLOCK // 4)
+    draws = np.random.Generator(bit_generator).random(UNIFORM_BLOCK)
+    draws.flags.writeable = False
+    return draws
 
 
 def trial_uniform(master_seed: int, trial_index: int) -> float:
-    """Element ``trial_index`` of ``trial_uniforms(master_seed, ...)``, computed
-    alone: the counter jumps straight to the trial's block, so any single
-    trial can be replayed without drawing the ones before it."""
-    bit_generator = np.random.Philox(key=master_seed)
-    bit_generator.advance(trial_index // PHILOX_BLOCK)
-    draws = np.random.Generator(bit_generator).random(trial_index % PHILOX_BLOCK + 1)
-    return float(draws[-1])
+    """The uniform draw of one trial: element ``trial_index`` of the Philox
+    stream ``np.random.Generator(np.random.Philox(key=master_seed))``.
+
+    The counter jumps straight to the trial's block, so any single trial
+    can be replayed; the last block drawn is kept, so consecutive trials
+    cost one array lookup each.
+    """
+    return _uniform_block(master_seed, trial_index // UNIFORM_BLOCK).item(
+        trial_index % UNIFORM_BLOCK
+    )
 
 
 def monte_carlo_step2(
@@ -402,6 +414,8 @@ def monte_carlo_step2(
     succeeds when the convergent scan returns exactly the multiplicative
     order of m.  The scan is a function of the outcome alone, so it runs
     once per distinct outcome and counts for every trial that drew it.
+    Trials run in chunks of MONTE_CARLO_CHUNK and only the per-outcome
+    counts outlive a chunk, so memory does not grow with the trial count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -414,11 +428,20 @@ def monte_carlo_step2(
         outcomes, counts = [forced_y], [trials]
     else:
         cumulative = np.cumsum(dist.probs)
-        draws = trial_uniforms(seed, trials) * cumulative[-1]
-        ys, counts = np.unique(
-            np.searchsorted(cumulative, draws, side="right"), return_counts=True
-        )
-        outcomes, counts = ys.tolist(), counts.tolist()
+        hits = np.zeros(geometry.Q, dtype=np.int64)
+        # Every draw comes from trial_uniform, the function that replays a
+        # trial, so a run and a replay cannot disagree.
+        for start in range(0, trials, MONTE_CARLO_CHUNK):
+            size = min(MONTE_CARLO_CHUNK, trials - start)
+            uniforms = np.fromiter(
+                map(trial_uniform, itertools.repeat(seed, size), range(start, start + size)),
+                dtype=np.float64,
+                count=size,
+            )
+            ys = np.searchsorted(cumulative, uniforms * cumulative[-1], side="right")
+            hits += np.bincount(ys, minlength=geometry.Q)
+        ys = np.flatnonzero(hits)
+        outcomes, counts = ys.tolist(), hits[ys].tolist()
     histogram = {"recovered_order": 0, "recovered_multiple": 0, "unrecovered": 0}
     for y, count in zip(outcomes, counts):
         recovery = step25_recover_period(y, geometry.Q, m, n)

@@ -319,13 +319,14 @@ def test_monte_carlo_reproducible_and_forced():
     assert forced_miss.success_fraction == 0.0
 
 
-def test_trial_uniforms_match_single_trial_replay():
-    trials = 1000
+def test_trial_uniform_replays_the_philox_stream():
+    block = pipeline.UNIFORM_BLOCK
+    trials = 2 * block + 3
     for seed in (0, 2**64 - 1):
-        batch = pipeline.trial_uniforms(seed, trials)
-        assert batch.shape == (trials,)
-        for i in [*range(10), trials - 1]:
-            assert batch[i] == pipeline.trial_uniform(seed, i), (seed, i)
+        stream = np.random.Generator(np.random.Philox(key=seed)).random(trials)
+        # Out of order, so each block is drawn afresh, and across both block edges.
+        for i in [trials - 1, *range(10), block - 1, block, 2 * block - 1, 2 * block]:
+            assert stream[i] == pipeline.trial_uniform(seed, i), (seed, i)
 
 
 def test_monte_carlo_matches_naive_per_trial_loop():
@@ -333,6 +334,14 @@ def test_monte_carlo_matches_naive_per_trial_loop():
         for seed in (0, 11):
             result = monte_carlo_step2(n, m, trials, seed=seed)
             assert result.histogram == support.naive_monte_carlo_histogram(n, m, trials, seed)
+
+
+def test_monte_carlo_chunks_do_not_change_the_histogram(monkeypatch):
+    whole = monte_carlo_step2(91, 3, 2000, seed=5)
+    monkeypatch.setattr(pipeline, "MONTE_CARLO_CHUNK", 97)
+    chunked = monte_carlo_step2(91, 3, 2000, seed=5)
+    assert chunked.histogram == whole.histogram
+    assert chunked.successes == whole.successes
 
 
 def test_monte_carlo_rejects_bad_input():
