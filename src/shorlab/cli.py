@@ -13,7 +13,9 @@ except for the two volatile manifest fields (timestamp_utc, elapsed_s).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import decimal
+import functools
 import json
 import sys
 import time
@@ -30,6 +32,9 @@ EXIT_EXHAUSTED = 3
 EXIT_USAGE = 64
 
 SCHEMA_VERSION = 1
+
+# Rows per write of a distribution CSV.
+CSV_CHUNK = 1 << 16
 
 # Embedded worked example: N = 91, m = 3, forced outcome y = 13453.
 EXAMPLE = {
@@ -89,17 +94,43 @@ def _print_json(payload: dict) -> None:
 
 
 def _write_csv(probs, out_path: str | None) -> None:
-    lines = ["y,prob"]
-    lines.extend(f"{y},{p:.17g}" for y, p in enumerate(probs))
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write the ``y,prob`` CSV, each probability printed with ``%.17g``.
+
+    Each distinct value is formatted once and kept as fixed-width ASCII;
+    values are told apart by bit pattern, so 0.0 and -0.0 keep their own
+    text.  Formatting and writing go CSV_CHUNK values at a time, so no
+    more than a chunk of Python strings is alive at once.
+    """
+    bits = np.ascontiguousarray(probs, dtype=np.float64).view(np.int64)
+    # Sort and mask rather than np.unique, which hashes in numpy 2 and is
+    # over ten times slower on a million values.
+    distinct = np.sort(bits)
+    first = np.ones(distinct.size, dtype=bool)
+    first[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[first]
+    values = distinct.view(np.float64)
+    # "%.17g" is at most 24 characters: a sign, 17 digits, a point, "e-308".
+    texts = np.empty(distinct.size, dtype="S24")
+    for start in range(0, values.size, CSV_CHUNK):
+        chunk = values[start : start + CSV_CHUNK].tolist()
+        texts[start : start + len(chunk)] = [format(v, ".17g") for v in chunk]
+    with (
+        open(out_path, "w", encoding="utf-8", newline="\n")
+        if out_path
+        else contextlib.nullcontext(sys.stdout)
+    ) as handle:
+        handle.write("y,prob\n")
+        for start in range(0, bits.size, CSV_CHUNK):
+            chunk = bits[start : start + CSV_CHUNK]
+            cells = [None] * (2 * chunk.size)
+            cells[0::2] = range(start, start + chunk.size)
+            cells[1::2] = texts[np.searchsorted(distinct, chunk)].tolist()
+            handle.write((b"%d,%s\n" * chunk.size % tuple(cells)).decode("ascii"))
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The ``shorlab`` parser, built on first use and kept for the process."""
     parser = _Parser(prog="shorlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -186,12 +217,17 @@ def cmd_distribution(args) -> int:
         print(f"shorlab distribution: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     f = engine.ModExpFunction(args.m, args.N)
+    if not args.simulate:
+        period = numtheory.multiplicative_order(args.m, args.N)
+        try:
+            closed = engine.closed_form_distribution(
+                engine.closed_form_params(period, geometry.Q), geometry
+            )
+        except engine.CapacityError as exc:
+            print(f"shorlab distribution: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
     if args.compare:
         simulated = engine.simulated_distribution(geometry, f)
-        period = numtheory.multiplicative_order(args.m, args.N)
-        closed = engine.closed_form_distribution(
-            engine.closed_form_params(period, geometry.Q), geometry
-        )
         payload = {
             "manifest": _manifest(
                 "distribution", {"N": args.N, "m": args.m, "mode": "compare"}
@@ -209,10 +245,7 @@ def cmd_distribution(args) -> int:
     if args.simulate:
         probs = engine.simulated_distribution(geometry, f).probs
     else:
-        period = numtheory.multiplicative_order(args.m, args.N)
-        probs = engine.closed_form_distribution(
-            engine.closed_form_params(period, geometry.Q), geometry
-        ).probs
+        probs = closed.probs
     _write_csv(probs, args.out)
     return EXIT_OK
 

@@ -35,6 +35,13 @@ class CapacityError(Exception):
     """Input exceeds the configured desk-scale size cap."""
 
 
+# Largest register size the vectorized closed form accepts: its int64
+# residues multiply two values below Q, exact while Q**2 < 2**63.
+CLOSED_FORM_MAX_Q = 1 << 31
+# Entries per batch of Python floats while the closed form's sin^2 table is built.
+SIN2_BATCH = 1 << 16
+
+
 @dataclass(frozen=True)
 class RegisterGeometry:
     """Two L-qubit registers sized for the modulus N: Q = 2**L, N^2 <= Q < 2N^2."""
@@ -300,18 +307,78 @@ def closed_form_prob(y: int, params: ClosedFormParams) -> float:
     return numerator / (Q * Q * _sin2_pi_ratio(t, Q))
 
 
+def _sin2_table(den: int) -> np.ndarray:
+    """sin^2(pi*k/den) for k = 0..den//2, each entry as _sin2_pi_ratio computes it.
+
+    The angle math.pi * k / den is two correctly rounded float64 operations
+    on exact operands, so numpy forms the same angles.  The sine and the
+    square stay Python's math.sin and ** 2: numpy's x*x differs from ** 2
+    in the last bit on some entries, and np.sin need not match math.sin
+    on every platform.  The table is built
+    SIN2_BATCH entries at a time, so few Python floats are alive at once.
+    """
+    table = np.empty(den // 2 + 1)
+    sin = math.sin
+    for start in range(0, table.size, SIN2_BATCH):
+        k = np.arange(start, min(start + SIN2_BATCH, table.size), dtype=np.float64)
+        table[start : start + k.size] = [sin(a) ** 2 for a in (math.pi * k / den).tolist()]
+    return table
+
+
 def closed_form_distribution(
     params: ClosedFormParams, geometry: RegisterGeometry | None = None
 ) -> OutcomeDistribution:
-    """The closed form evaluated over the whole sample space.
+    """The closed form over the whole sample space, from int64 residues.
+
+    Bit for bit what ``closed_form_prob`` gives at each y, in the same
+    operation order.  Every sine argument is pi*k/Q for an integer k that
+    the scalar route reduces to its smallest-magnitude residue, so
+    |k| <= Q/2 and, sin^2 being even, one table over k = 0..Q/2 serves
+    them all.  The residues are exact while a product of two values below
+    Q fits in int64, hence the budget Q <= CLOSED_FORM_MAX_Q, checked
+    before anything is allocated.
 
     When no geometry is supplied a placeholder with the largest admissible
     modulus for this register size is attached.
     """
+    P, Q, q, r, Q0 = params.P, params.Q, params.q, params.r, params.Q0
+    if Q > CLOSED_FORM_MAX_Q:
+        raise CapacityError(
+            f"register size {Q} exceeds the closed-form budget Q <= 2**31 "
+            "(its int64 residues are exact only up to there)"
+        )
     if geometry is None:
-        n = math.isqrt(params.Q)
-        geometry = RegisterGeometry(N=n, Q=params.Q, L=params.Q.bit_length() - 1)
-    elif geometry.Q != params.Q:
-        raise ValueError(f"geometry register size {geometry.Q} != params register size {params.Q}")
-    probs = np.array([closed_form_prob(y, params) for y in range(params.Q)])
+        n = math.isqrt(Q)
+        geometry = RegisterGeometry(N=n, Q=Q, L=Q.bit_length() - 1)
+    elif geometry.Q != Q:
+        raise ValueError(f"geometry register size {geometry.Q} != params register size {Q}")
+    sin2 = _sin2_table(Q)
+
+    def sin2_at(residue: np.ndarray) -> np.ndarray:
+        # residue in [0, Q), overwritten by the magnitude of its
+        # smallest-magnitude representative, min(residue, Q - residue).
+        np.minimum(residue, Q - residue, out=residue)
+        return sin2[residue]
+
+    # Products are taken in place and each residue array is dropped once
+    # read, which keeps the peak near four arrays of Q entries.  (IEEE
+    # products commute, so sin2 * r is bit for bit r * sin2.)
+    t = np.arange(Q, dtype=np.int64)
+    t *= P % Q
+    t %= Q  # P*y mod Q
+    tq = t * (q % Q)
+    tq %= Q  # t*q mod Q
+    tq1 = tq + t
+    tq1[tq1 >= Q] -= Q  # t*(q+1) mod Q
+    numerator = sin2_at(tq1)
+    del tq1
+    numerator *= float(r)
+    numerator += float(P - r) * sin2_at(tq)
+    del tq
+    nonzero = t != 0
+    denominator = sin2_at(t)
+    del t
+    denominator *= float(Q * Q)
+    probs = np.full(Q, (r * (Q0 + P) ** 2 + (P - r) * Q0**2) / (Q * Q * P * P))
+    np.divide(numerator, denominator, out=probs, where=nonzero)
     return OutcomeDistribution(geometry=geometry, probs=probs)

@@ -101,10 +101,26 @@ def miller_rabin(n: int, rounds: int, rng: np.random.Generator) -> PrimalityVerd
             return PrimalityVerdict("probable_prime", bound)
         return PrimalityVerdict("composite", 0.0, _small_mr_witness(n))
     for _ in range(rounds):
-        base = int(rng.integers(2, n - 1))
+        base = _random_base(n, rng)
         if not _mr_round_passes(n, base):
             return PrimalityVerdict("composite", 0.0, base)
     return PrimalityVerdict("probable_prime", bound)
+
+
+def _random_base(n: int, rng: np.random.Generator) -> int:
+    """A uniform base in [2, n - 2].
+
+    numpy draws bounded integers only within int64, so from n = 2**63 on
+    the base comes from the generator's random bytes, by rejection.
+    """
+    if n < 1 << 63:
+        return int(rng.integers(2, n - 1))
+    span = n - 3
+    bits = span.bit_length()
+    while True:
+        value = int.from_bytes(rng.bytes((bits + 7) // 8), "little") >> (-bits % 8)
+        if value < span:
+            return 2 + value
 
 
 def _trial_division_prime(n: int) -> bool:
@@ -189,13 +205,29 @@ def smallest_magnitude_residue(a: int, q: int) -> int:
     return a - q * nearest_int(a, q)
 
 
+def integer_root(n: int, k: int) -> int:
+    """The largest b >= 0 with b**k <= n, by Newton's method on integers.
+
+    Starts above the root and decreases to it; never leaves the integers,
+    so it is exact for any size of n.
+    """
+    if n < 0 or k < 1:
+        raise ValueError("integer_root needs n >= 0 and k >= 1")
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # 2**ceil(bits/k) > n**(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def is_perfect_power(n: int) -> bool:
     """True iff n = b**k for integers b >= 2, k >= 2."""
     if n < 4:
         return False
     for k in range(2, n.bit_length() + 1):
-        root = round(n ** (1.0 / k))
-        for b in (root - 1, root, root + 1):
-            if b >= 2 and b**k == n:
-                return True
+        if integer_root(n, k) ** k == n:
+            return True
     return False

@@ -84,6 +84,11 @@ def direct_sum_prob(y: int, period: int, q_total: int) -> float:
     return total / (q_total * q_total)
 
 
+def naive_csv(probs) -> str:
+    """The distribution CSV one row at a time: header, then y,prob per outcome."""
+    return "\n".join(["y,prob", *(f"{y},{p:.17g}" for y, p in enumerate(probs))]) + "\n"
+
+
 def random_sparse_state(geometry, rng, n_entries=24, n_reg2=3):
     """Normalized random state with a few register-2 values occupied."""
     amplitudes = {}

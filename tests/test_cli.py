@@ -1,9 +1,12 @@
 """Command-line contract: exit codes, JSON/CSV shapes, reproducibility."""
 
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
+import support
 from shorlab import cli
 from shorlab.engine import closed_form_params, closed_form_prob
 
@@ -47,6 +50,34 @@ def test_factor_exit_codes(capsys):
     )
     assert code == 3
     assert json.loads(out)["trace"]["outcome"]["kind"] == "period_recovery_failed"
+
+
+def test_factor_rejects_inputs_past_int64(capsys):
+    code, _, err = run_cli(capsys, "factor", str(2**89 - 1))
+    assert code == 2 and "probable prime" in err
+    code, _, err = run_cli(capsys, "factor", str((2**60 + 33) ** 2))
+    assert code == 2 and "perfect power" in err
+
+
+def test_main_reuses_one_parser_without_leaking_state(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run_cli(
+        capsys, "montecarlo", "15", "2", "10", "--seed", "5", "--forced-y", "64"
+    )
+    assert code == 0
+    assert json.loads(out)["manifest"]["config"]["forced_y"] == 64
+    code, out, _ = run_cli(capsys, "factor", "15")
+    config = json.loads(out)["manifest"]["config"]
+    assert code == 0
+    assert (config["seed"], config["forced_m"], config["forced_y"]) == (0, None, None)
+    out_path = tmp_path / "dist.csv"
+    code, out, _ = run_cli(capsys, "distribution", "15", "2", "--out", str(out_path))
+    assert code == 0 and out == "" and out_path.is_file()
+    code, out, _ = run_cli(capsys, "distribution", "15", "2", "--simulate")
+    assert code == 0 and out.startswith("y,prob\n") and len(out.splitlines()) == 257
+    code, out, _ = run_cli(capsys, "montecarlo", "15", "2", "10")
+    config = json.loads(out)["manifest"]["config"]
+    assert code == 0 and (config["seed"], config["forced_y"]) == (0, None)
 
 
 def test_factor_usage_errors(capsys):
@@ -98,9 +129,45 @@ def test_distribution_csv_round_trips_probabilities(capsys, tmp_path):
     assert len(rows) == 16384
     assert abs(sum(rows.values()) - 1.0) < 1e-9
     # serialized with enough digits to round-trip the double exactly
-    expected = closed_form_prob(13453, closed_form_params(6, 16384))
+    params = closed_form_params(6, 16384)
+    expected = closed_form_prob(13453, params)
     assert rows[13453] == expected
     assert f"{rows[13453]:.15e}".startswith("3.189335551")
+    # byte for byte the naive per-row writer over the scalar closed form
+    assert text == support.naive_csv([closed_form_prob(y, params) for y in range(16384)])
+
+
+def test_write_csv_matches_naive_writer(capsys, tmp_path):
+    # Repeated values, both zeros, the longest texts, over two chunks and a bit.
+    pool = np.array(
+        [0.0, -0.0, -5e-324, -2.2250738585072014e-308, 1.0, 0.25, 1 / 3, 3.189335551743533e-07]
+    )
+    rng = np.random.default_rng(8)
+    probs = pool[rng.integers(0, pool.size, size=2 * cli.CSV_CHUNK + 123)]
+    expected = support.naive_csv(probs)
+    cli._write_csv(probs, None)
+    assert capsys.readouterr().out == expected
+    out_path = tmp_path / "probs.csv"
+    cli._write_csv(probs, str(out_path))
+    assert out_path.read_bytes() == expected.encode("utf-8")
+    for probs in ([0.5], [0.5, 0.5], np.linspace(0, 1, cli.CSV_CHUNK)):
+        cli._write_csv(probs, None)
+        assert capsys.readouterr().out == support.naive_csv(probs)
+
+
+@pytest.mark.parametrize("mode", ["--closed-form", "--compare"])
+def test_distribution_over_closed_form_budget_is_rejected(capsys, mode):
+    # N = 46341 needs Q = 2**32, past the int64 closed form's Q <= 2**31.
+    # The budget check runs before any allocation, the circuit included.
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "distribution", "46341", "2", mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "4294967296" in err and "Q <= 2**31" in err
+    assert peak < 1 << 20
 
 
 def test_distribution_simulate_and_compare(capsys):

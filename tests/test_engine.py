@@ -3,6 +3,7 @@ transform correctness against the dense matrix, and measurement statistics."""
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,41 @@ def test_closed_form_distribution_normalization_and_point_mass():
     assert abs(dist.probs.sum() - 1.0) < 1e-9
     unit = closed_form_distribution(closed_form_params(1, 16))
     assert unit.probs[0] == 1.0 and unit.probs.sum() == 1.0
+
+
+@pytest.mark.parametrize(
+    "period, q_total",
+    [
+        (1, 256),  # t = 0 everywhere
+        (4, 256),  # P divides Q: r = 0
+        (64, 4096),  # r = 0, large q-free period
+        (5, 1024),  # odd P: t runs over every residue
+        (21, 2048),
+        (12, 4096),  # even P with a 2-adic factor: t on multiples of 4
+        (40, 8192),
+        (1, 2),  # Q = 2
+        (2, 2),
+        (3, 2),  # P > Q: q = 0
+        (24, 1 << 16),
+    ],
+)
+def test_closed_form_distribution_is_the_scalar_closed_form_bitwise(period, q_total):
+    params = closed_form_params(period, q_total)
+    scalar = np.array([closed_form_prob(y, params) for y in range(q_total)])
+    assert np.array_equal(closed_form_distribution(params).probs, scalar)
+
+
+def test_closed_form_distribution_rejects_register_over_budget():
+    # Raised before any array exists: the sample space alone would take 32 GiB.
+    for q_total in (2**32, 2**31 + 1):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"Q <= 2\*\*31"):
+                closed_form_distribution(closed_form_params(7, q_total))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_simulation_agrees_with_closed_form():

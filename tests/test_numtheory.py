@@ -176,6 +176,62 @@ def test_is_perfect_power():
     assert not nt.is_perfect_power(2)
 
 
+def test_is_perfect_power_past_float_range():
+    # The float root n ** (1/k) misses the first (it rounds past 2**53) and
+    # overflows on the second.
+    assert nt.is_perfect_power((2**60 + 33) ** 2)
+    assert nt.is_perfect_power(3**700)
+    assert nt.is_perfect_power((2**61 - 1) ** 3)
+    assert not nt.is_perfect_power((2**60 + 33) ** 2 + 1)
+    assert not nt.is_perfect_power(3**700 + 1)
+
+
+def test_is_perfect_power_matches_brute_force():
+    powers = {b**k for b in range(2, 64) for k in range(2, 13) if b**k < 4096}
+    for n in range(1, 4096):
+        assert nt.is_perfect_power(n) == (n in powers), n
+
+
+def test_integer_root_brackets_the_root():
+    for n in range(200):
+        for k in range(1, 6):
+            b = nt.integer_root(n, k)
+            assert b**k <= n < (b + 1) ** k
+    for b, k in ((2**60 + 33, 2), (3**100, 7), (10**30 + 7, 5)):
+        assert nt.integer_root(b**k, k) == b
+        assert nt.integer_root(b**k - 1, k) == b - 1
+        assert nt.integer_root((b + 1) ** k - 1, k) == b
+    with pytest.raises(ValueError):
+        nt.integer_root(-1, 2)
+    with pytest.raises(ValueError):
+        nt.integer_root(8, 0)
+
+
+def test_miller_rabin_past_int64():
+    rng = np.random.default_rng(6)
+    assert nt.miller_rabin(2**89 - 1, 20, rng).kind == "probable_prime"
+    n = (2**60 + 33) ** 2
+    verdict = nt.miller_rabin(n, 20, rng)
+    assert verdict.kind == "composite"
+    assert 2 <= verdict.witness <= n - 2
+    assert not nt._mr_round_passes(n, verdict.witness)
+    # Seeded: the same generator state gives the same witness.
+    assert nt.miller_rabin(n, 20, np.random.default_rng(6)).witness == nt.miller_rabin(
+        n, 20, np.random.default_rng(6)
+    ).witness
+
+
+def test_miller_rabin_keeps_the_int64_draw_below_2_63():
+    # Below 2**63 the bases are still numpy's bounded draw, so seeded runs
+    # keep their witnesses (and the factor command its JSON).
+    for n in (1000003 * 1000033, 3 * (2**61 - 1)):
+        expected = int(np.random.default_rng(9).integers(2, n - 1))
+        assert not nt._mr_round_passes(n, expected)  # the first draw is a witness
+        assert nt.miller_rabin(n, 20, np.random.default_rng(9)).witness == expected
+    bases = {nt._random_base(2**64 + 13, np.random.default_rng(seed)) for seed in range(50)}
+    assert len(bases) == 50 and all(2 <= b <= 2**64 + 11 for b in bases)
+
+
 def test_nearest_int_tie_rule_matches_residue():
     # ties go down so that a - q*nearest(a, q) stays in (-q/2, q/2]
     assert nt.nearest_int(3, 2) == 1
