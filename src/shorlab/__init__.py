@@ -4,98 +4,14 @@ Exact state-vector simulation of the quantum period-finding subroutine,
 the matching closed-form measurement distribution, period recovery via
 continued fractions, and the classical five-step pipeline
 that turns a recovered period into a factor.
+
+The package root exports only the pipeline entry point; everything else
+is reached through its module (``shorlab.numtheory``, ``shorlab.contfrac``,
+``shorlab.engine``, ``shorlab.pipeline``, ``shorlab.cli``).
 """
 
 __version__ = "0.1.0"
 
-from .contfrac import CFExpansion, cf_expand, convergents_of, is_convergent
-from .engine import (
-    CapacityError,
-    ClosedFormParams,
-    JointState,
-    ModExpFunction,
-    OutcomeDistribution,
-    RegisterGeometry,
-    apply_modexp_entangler,
-    apply_qft_reg1,
-    choose_geometry,
-    closed_form_distribution,
-    closed_form_params,
-    closed_form_prob,
-    collapse_reg1,
-    initialize,
-    measure_reg1,
-    period_finding_state,
-    reg1_distribution,
-    simulated_distribution,
-)
-from .numtheory import (
-    PrimalityVerdict,
-    distinct_prime_factors,
-    euler_totient,
-    gcd_euclid,
-    miller_rabin,
-    mod_pow,
-    multiplicative_order,
-    smallest_magnitude_residue,
-)
-from .pipeline import (
-    FactorizationTrace,
-    MonteCarloResult,
-    OutcomeKind,
-    PreconditionError,
-    ShorConfig,
-    StepOutcome,
-    monte_carlo_step2,
-    shor_factor,
-    step1_choose_m,
-    step25_recover_period,
-    step345_classical,
-    success_lower_bound,
-)
+from .pipeline import ShorConfig, shor_factor
 
-__all__ = [
-    "__version__",
-    "CFExpansion",
-    "cf_expand",
-    "convergents_of",
-    "is_convergent",
-    "CapacityError",
-    "ClosedFormParams",
-    "JointState",
-    "ModExpFunction",
-    "OutcomeDistribution",
-    "RegisterGeometry",
-    "apply_modexp_entangler",
-    "apply_qft_reg1",
-    "choose_geometry",
-    "closed_form_distribution",
-    "closed_form_params",
-    "closed_form_prob",
-    "collapse_reg1",
-    "initialize",
-    "measure_reg1",
-    "period_finding_state",
-    "reg1_distribution",
-    "simulated_distribution",
-    "PrimalityVerdict",
-    "distinct_prime_factors",
-    "euler_totient",
-    "gcd_euclid",
-    "miller_rabin",
-    "mod_pow",
-    "multiplicative_order",
-    "smallest_magnitude_residue",
-    "FactorizationTrace",
-    "MonteCarloResult",
-    "OutcomeKind",
-    "PreconditionError",
-    "ShorConfig",
-    "StepOutcome",
-    "monte_carlo_step2",
-    "shor_factor",
-    "step1_choose_m",
-    "step25_recover_period",
-    "step345_classical",
-    "success_lower_bound",
-]
+__all__ = ["__version__", "ShorConfig", "shor_factor"]

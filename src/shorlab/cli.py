@@ -188,14 +188,7 @@ def cmd_factor(args) -> int:
         "forced_y": args.forced_y,
         "q_override": args.q_override,
     }
-    try:
-        outcome, trace = pipeline.shor_factor(args.N, config)
-    except pipeline.PreconditionError as exc:
-        print(f"shorlab factor: precondition failed ({exc.check}): {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (ValueError, engine.CapacityError) as exc:
-        print(f"shorlab factor: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    outcome, trace = pipeline.shor_factor(args.N, config)
     manifest = _manifest("factor", config_echo)
     manifest["elapsed_s"] = trace.elapsed_s  # volatile, like timestamp_utc
     _print_json({"manifest": manifest, "trace": trace.to_dict()})
@@ -205,27 +198,11 @@ def cmd_factor(args) -> int:
 
 
 def cmd_distribution(args) -> int:
-    if numtheory.gcd_euclid(args.m % args.N, args.N) != 1:
-        print(
-            f"shorlab distribution: gcd({args.m}, {args.N}) != 1; base must be a unit",
-            file=sys.stderr,
-        )
-        return EXIT_PRECONDITION
-    try:
-        geometry = engine.choose_geometry(args.N)
-    except (ValueError, engine.CapacityError) as exc:
-        print(f"shorlab distribution: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    geometry = engine.choose_geometry(args.N)
     f = engine.ModExpFunction(args.m, args.N)
     if not args.simulate:
         period = numtheory.multiplicative_order(args.m, args.N)
-        try:
-            closed = engine.closed_form_distribution(
-                engine.closed_form_params(period, geometry.Q), geometry
-            )
-        except engine.CapacityError as exc:
-            print(f"shorlab distribution: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
+        closed = engine.closed_form_distribution(engine.closed_form_params(period, geometry.Q))
     if args.compare:
         simulated = engine.simulated_distribution(geometry, f)
         payload = {
@@ -261,12 +238,6 @@ def cmd_cf(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    if numtheory.gcd_euclid(args.m % args.N, args.N) != 1:
-        print(
-            f"shorlab montecarlo: gcd({args.m}, {args.N}) != 1; base must be a unit",
-            file=sys.stderr,
-        )
-        return EXIT_PRECONDITION
     result = pipeline.monte_carlo_step2(
         args.N, args.m, args.trials, args.seed, forced_y=args.forced_y
     )
@@ -390,8 +361,9 @@ def cmd_replicate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  An input the library rejects, wherever it is
+    rejected, becomes one ``shorlab <command>: ...`` line and exit 2."""
+    args = build_parser().parse_args(argv)
     handlers = {
         "factor": cmd_factor,
         "distribution": cmd_distribution,
@@ -399,7 +371,14 @@ def main(argv: list[str] | None = None) -> int:
         "montecarlo": cmd_montecarlo,
         "replicate": cmd_replicate,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except pipeline.PreconditionError as exc:
+        message = f"precondition failed ({exc.check}): {exc}"
+    except (ValueError, engine.CapacityError) as exc:
+        message = str(exc)
+    print(f"shorlab {args.command}: {message}", file=sys.stderr)
+    return EXIT_PRECONDITION
 
 
 def entry_point() -> None:

@@ -10,6 +10,7 @@ unless the expansion is a single term), so expansions are unique.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .numtheory import gcd_euclid
@@ -30,59 +31,44 @@ class CFExpansion:
     convergents: tuple[tuple[int, int], ...]
 
 
-def expansion_coefficients(numerator: int, denominator: int) -> list[int]:
-    """Quotient sequence of the Euclidean algorithm on numerator/denominator."""
+def convergents(numerator: int, denominator: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (a_n, p_n, q_n) for numerator/denominator, one term per step.
+
+    a_n is the n-th quotient of the Euclidean algorithm and p_n/q_n the
+    convergent it completes, by the three-term recurrence seeded with
+    p_0 = a_0, q_0 = 1, p_1 = a_1*a_0 + 1, q_1 = a_1, then
+    p_n = a_n*p_{n-1} + p_{n-2} and likewise for q_n.  Nothing past the
+    last term read is computed, so a caller that stops early pays only
+    for the terms it used.
+    """
     if denominator < 1:
         raise ValueError("denominator must be >= 1")
     if numerator < 0:
         raise ValueError("numerator must be non-negative")
-    coefficients = []
+    p, p_prev = 1, 0
+    q, q_prev = 0, 1
     while True:
         a, remainder = divmod(numerator, denominator)
-        coefficients.append(a)
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        yield a, p, q
         if remainder == 0:
-            return coefficients
+            return
         numerator, denominator = denominator, remainder
-
-
-def convergents_from_coefficients(coefficients: list[int] | tuple[int, ...]) -> list[tuple[int, int]]:
-    """Convergents p_n/q_n via the three-term recurrence.
-
-    Seeds p_0 = a_0, q_0 = 1, p_1 = a_1*a_0 + 1, q_1 = a_1, then
-    p_n = a_n*p_{n-1} + p_{n-2} and likewise for q_n.
-    """
-    convergents = []
-    p_prev, p_prev2 = 1, 0
-    q_prev, q_prev2 = 0, 1
-    for a in coefficients:
-        p = a * p_prev + p_prev2
-        q = a * q_prev + q_prev2
-        convergents.append((p, q))
-        p_prev2, p_prev = p_prev, p
-        q_prev2, q_prev = q_prev, q
-    return convergents
 
 
 def cf_expand(numerator: int, denominator: int) -> CFExpansion:
     """Full normalized expansion of numerator/denominator with its convergents.
 
-    Computed eagerly: desk-scale denominators keep the expansion length at
-    O(lg denominator), so there is nothing to gain from laziness.  An input
-    of 0/q expands to the single coefficient [0].
+    An input of 0/q expands to the single coefficient [0].
     """
-    coefficients = expansion_coefficients(numerator, denominator)
-    convergents = convergents_from_coefficients(coefficients)
+    terms = list(convergents(numerator, denominator))
     return CFExpansion(
         numerator=numerator,
         denominator=denominator,
-        coefficients=tuple(coefficients),
-        convergents=tuple(convergents),
+        coefficients=tuple(a for a, _, _ in terms),
+        convergents=tuple((p, q) for _, p, q in terms),
     )
-
-
-def convergents_of(expansion: CFExpansion) -> list[tuple[int, int]]:
-    """Convergent list of an expansion (recomputed from its coefficients)."""
-    return convergents_from_coefficients(expansion.coefficients)
 
 
 def is_convergent(a: int, b: int, numerator: int, denominator: int) -> bool:

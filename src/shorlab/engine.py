@@ -145,7 +145,6 @@ class JointState:
 class OutcomeDistribution:
     """Measurement distribution over register-1 outcomes y in {0..Q-1}."""
 
-    geometry: RegisterGeometry
     probs: np.ndarray
 
 
@@ -225,7 +224,7 @@ def apply_modexp_entangler(state: JointState, f: ModExpFunction) -> JointState:
 
 def reg1_distribution(state: JointState) -> OutcomeDistribution:
     """Probability of each register-1 outcome: column sums of |amplitude|^2."""
-    return OutcomeDistribution(state.geometry, _probabilities(state.rows).sum(axis=0))
+    return OutcomeDistribution(_probabilities(state.rows).sum(axis=0))
 
 
 def collapse_reg1(state: JointState, y0: int) -> JointState:
@@ -325,9 +324,7 @@ def _sin2_table(den: int) -> np.ndarray:
     return table
 
 
-def closed_form_distribution(
-    params: ClosedFormParams, geometry: RegisterGeometry | None = None
-) -> OutcomeDistribution:
+def closed_form_distribution(params: ClosedFormParams) -> OutcomeDistribution:
     """The closed form over the whole sample space, from int64 residues.
 
     Bit for bit what ``closed_form_prob`` gives at each y, in the same
@@ -337,9 +334,6 @@ def closed_form_distribution(
     them all.  The residues are exact while a product of two values below
     Q fits in int64, hence the budget Q <= CLOSED_FORM_MAX_Q, checked
     before anything is allocated.
-
-    When no geometry is supplied a placeholder with the largest admissible
-    modulus for this register size is attached.
     """
     P, Q, q, r, Q0 = params.P, params.Q, params.q, params.r, params.Q0
     if Q > CLOSED_FORM_MAX_Q:
@@ -347,11 +341,6 @@ def closed_form_distribution(
             f"register size {Q} exceeds the closed-form budget Q <= 2**31 "
             "(its int64 residues are exact only up to there)"
         )
-    if geometry is None:
-        n = math.isqrt(Q)
-        geometry = RegisterGeometry(N=n, Q=Q, L=Q.bit_length() - 1)
-    elif geometry.Q != Q:
-        raise ValueError(f"geometry register size {geometry.Q} != params register size {Q}")
     sin2 = _sin2_table(Q)
 
     def sin2_at(residue: np.ndarray) -> np.ndarray:
@@ -381,4 +370,4 @@ def closed_form_distribution(
     denominator *= float(Q * Q)
     probs = np.full(Q, (r * (Q0 + P) ** 2 + (P - r) * Q0**2) / (Q * Q * P * P))
     np.divide(numerator, denominator, out=probs, where=nonzero)
-    return OutcomeDistribution(geometry=geometry, probs=probs)
+    return OutcomeDistribution(probs)

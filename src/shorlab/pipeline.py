@@ -29,6 +29,10 @@ from . import contfrac, engine, numtheory
 EULER_GAMMA = 0.57721566490153286061
 E_MINUS_GAMMA = 0.5614594836
 
+# Miller-Rabin rounds of the primality precondition.  A composite verdict
+# is certain; a probable-prime verdict carries the error bound 2**-20.
+MILLER_RABIN_ROUNDS = 20
+
 # Tabulated lower bounds for e**-gamma - eps(P): the margin by which the
 # totient ratio phi(P)/(P/ln ln P) clears its asymptotic liminf at small P.
 LB_TABLE: dict[int, float] = {
@@ -74,7 +78,6 @@ class PreconditionError(Exception):
 class ShorConfig:
     rng_seed: int = 0
     max_outer_retries: int = 100
-    miller_rabin_rounds: int = 20
     forced_m: int | None = None
     forced_y: int | None = None
     q_override: int | None = None
@@ -184,11 +187,10 @@ def step25_recover_period(y: int, q_total: int, m: int, n: int) -> PeriodRecover
     Each q_n >= 1 is tested via m**q_n mod N, including the early q_n = 1
     candidates (harmless: only m = 1 has order 1, and step 1 never draws
     it).  The scan stops as soon as q_n exceeds N, since any true period
-    is at most phi(N) < N.
+    is at most phi(N) < N; the expansion is not computed past that term.
     """
     tests: list[tuple[int, int, int]] = []
-    expansion = contfrac.cf_expand(y, q_total)
-    for n_idx, (_, q_n) in enumerate(expansion.convergents):
+    for n_idx, (_, _, q_n) in enumerate(contfrac.convergents(y, q_total)):
         if q_n > n:
             break
         residue = numtheory.mod_pow(m, q_n, n)
@@ -219,10 +221,10 @@ def step345_classical(m: int, period: int, n: int) -> StepOutcome:
     return StepOutcome(OutcomeKind.FACTOR_FOUND, factor=d)
 
 
-def _check_preconditions(n: int, config: ShorConfig, rng: np.random.Generator) -> None:
+def _check_preconditions(n: int, rng: np.random.Generator) -> None:
     if n < 3 or n % 2 == 0:
         raise PreconditionError("even modulus", f"{n} is even or too small; need an odd N >= 3")
-    verdict = numtheory.miller_rabin(n, config.miller_rabin_rounds, rng)
+    verdict = numtheory.miller_rabin(n, MILLER_RABIN_ROUNDS, rng)
     if not verdict.is_composite:
         raise PreconditionError(
             "probable prime",
@@ -240,13 +242,16 @@ def shor_factor(n: int, config: ShorConfig | None = None) -> tuple[StepOutcome, 
 
     Returns the final outcome plus a trace recording every attempt.  The
     forced_m / forced_y config fields replay a specific run (the forced
-    outcome must have nonzero probability); q_override substitutes an
-    admissible register size for the default one.
+    base must lie in step 1's range [2, N-1] and the forced outcome must
+    have nonzero probability); q_override substitutes an admissible
+    register size for the default one.
     """
     config = config or ShorConfig()
     started = time.perf_counter()
     rng = np.random.default_rng(config.rng_seed)
-    _check_preconditions(n, config, rng)
+    _check_preconditions(n, rng)
+    if config.forced_m is not None and not 2 <= config.forced_m < n:
+        raise ValueError(f"forced base {config.forced_m} is outside step 1's range [2, {n - 1}]")
     if config.q_override is not None:
         geometry = engine.geometry_for(n, config.q_override)
     else:
@@ -410,21 +415,24 @@ def monte_carlo_step2(
 
     The quantum subroutine is a fixed stochastic source for given (n, m),
     so its distribution is simulated once and each trial draws one outcome
-    from it by inverse CDF (a forced outcome replaces the draw).  A trial
-    succeeds when the convergent scan returns exactly the multiplicative
-    order of m.  The scan is a function of the outcome alone, so it runs
+    from it by inverse CDF.  A forced outcome replaces the draw; as in
+    ``shor_factor``, it must lie in [0, Q) and have nonzero probability.
+    A trial succeeds when the convergent scan returns exactly the
+    multiplicative order of m.  The scan is a function of the outcome alone, so it runs
     once per distinct outcome and counts for every trial that drew it.
     Trials run in chunks of MONTE_CARLO_CHUNK and only the per-outcome
     counts outlive a chunk, so memory does not grow with the trial count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if numtheory.gcd_euclid(m % n, n) != 1:
-        raise ValueError(f"base must be a unit: gcd({m}, {n}) != 1")
     geometry = engine.choose_geometry(n)
     period = numtheory.multiplicative_order(m, n)
     dist = engine.simulated_distribution(geometry, engine.ModExpFunction(m, n))
     if forced_y is not None:
+        if not 0 <= forced_y < geometry.Q:
+            raise ValueError(f"outcome {forced_y} outside the sample space of size {geometry.Q}")
+        if dist.probs[forced_y] == 0.0:
+            raise ValueError(f"outcome {forced_y} has zero probability")
         outcomes, counts = [forced_y], [trials]
     else:
         cumulative = np.cumsum(dist.probs)

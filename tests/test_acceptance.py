@@ -129,7 +129,7 @@ def test_criterion_03_expansion_table(capsys):
 def test_criterion_04_exact_divisor_distribution(capsys):
     geometry = choose_geometry(15)
     simulated = simulated_distribution(geometry, ModExpFunction(2, 15))
-    closed = closed_form_distribution(closed_form_params(4, geometry.Q), geometry)
+    closed = closed_form_distribution(closed_form_params(4, geometry.Q))
     peaks = {0, 64, 128, 192}
     ok = True
     for probs in (simulated.probs, closed.probs):
@@ -150,7 +150,7 @@ def test_criterion_05_simulation_matches_closed_form(capsys):
         geometry = choose_geometry(n)
         period = multiplicative_order(m, n)
         simulated = simulated_distribution(geometry, ModExpFunction(m, n))
-        closed = closed_form_distribution(closed_form_params(period, geometry.Q), geometry)
+        closed = closed_form_distribution(closed_form_params(period, geometry.Q))
         gap = float(np.max(np.abs(simulated.probs - closed.probs)))
         worst = max(worst, gap)
         ok = ok and gap <= 1e-9

@@ -283,3 +283,31 @@ def test_seed_outside_64_bits_is_usage_error(capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--seed", str(2**64 - 1))
     assert code == 0
     assert json.loads(out)["manifest"]["config"]["seed"] == 2**64 - 1
+
+
+# Inputs the library rejects, each with a piece of its diagnostic.
+REJECTED_INPUTS = [
+    (("montecarlo", "1", "3", "10"), "modulus must be >= 2"),
+    (("montecarlo", "0", "3", "10"), "modulus must be >= 2"),
+    (("montecarlo", "2000000", "3", "10"), "exceeds the desk-scale cap"),
+    (("montecarlo", "15", "5", "10"), "gcd(5, 15) != 1"),
+    (("montecarlo", "91", "3", "10", "--forced-y", "99999"), "sample space of size 16384"),
+    (("montecarlo", "15", "2", "10", "--forced-y", "1"), "zero probability"),
+    (("distribution", "0", "1"), "modulus must be >= 2"),
+    (("distribution", "15", "3"), "gcd(3, 15) != 1"),
+    (("cf", "-5", "3"), "numerator must be non-negative"),
+    (("factor", "91", "--forced-m", "0"), "range [2, 90]"),
+    (("factor", "91", "--forced-m", "182"), "range [2, 90]"),
+    (("factor", "15", "--forced-m", "2", "--forced-y", "1"), "zero probability"),
+    (("factor", "97"), "precondition failed (probable prime)"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, diagnostic", REJECTED_INPUTS, ids=["-".join(argv) for argv, _ in REJECTED_INPUTS]
+)
+def test_rejected_input_is_one_diagnostic_line(capsys, argv, diagnostic):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"shorlab {argv[0]}: ")
+    assert diagnostic in err

@@ -63,9 +63,9 @@ def test_normalization_and_reduced_convergents():
         assert Fraction(p_last, q_last) == Fraction(num, den)
 
 
-def test_convergents_of_matches_recurrence_seeds():
+def test_convergents_match_recurrence_seeds():
     expansion = contfrac.cf_expand(13453, 16384)
-    convergents = contfrac.convergents_of(expansion)
+    convergents = expansion.convergents
     a = expansion.coefficients
     assert convergents[0] == (a[0], 1)
     assert convergents[1] == (a[1] * a[0] + 1, a[1])

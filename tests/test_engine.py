@@ -253,7 +253,7 @@ def test_simulation_agrees_with_closed_form():
         geometry = choose_geometry(n)
         period = multiplicative_order(m, n)
         simulated = simulated_distribution(geometry, ModExpFunction(m, n))
-        closed = closed_form_distribution(closed_form_params(period, geometry.Q), geometry)
+        closed = closed_form_distribution(closed_form_params(period, geometry.Q))
         assert np.max(np.abs(simulated.probs - closed.probs)) < 1e-9
         assert abs(simulated.probs.sum() - 1.0) < 1e-9
         assert abs(closed.probs.sum() - 1.0) < 1e-9
@@ -269,7 +269,7 @@ def test_simulation_agrees_with_closed_form_every_odd_composite():
         geometry = choose_geometry(n)
         period = multiplicative_order(2, n)
         simulated = simulated_distribution(geometry, ModExpFunction(2, n))
-        closed = closed_form_distribution(closed_form_params(period, geometry.Q), geometry)
+        closed = closed_form_distribution(closed_form_params(period, geometry.Q))
         assert np.max(np.abs(simulated.probs - closed.probs)) <= 1e-9, n
 
 

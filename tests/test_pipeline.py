@@ -69,6 +69,23 @@ def test_step25_stops_beyond_modulus():
     assert all(q <= 91 for _, q, _ in recovery.tests)
 
 
+@pytest.mark.parametrize("n, m", [(91, 3), (15, 2)])
+def test_step25_trail_is_the_full_expansion_cut_at_the_modulus(n, m):
+    # Oracle: the whole expansion, then the scan rule applied to it.
+    from shorlab.contfrac import cf_expand
+
+    q_total = choose_geometry(n).Q
+    for y in range(q_total):
+        trail = []
+        for n_idx, (_, q_n) in enumerate(cf_expand(y, q_total).convergents):
+            if q_n > n:
+                break
+            trail.append((n_idx, q_n, pow(m, q_n, n)))
+            if trail[-1][2] == 1:
+                break
+        assert step25_recover_period(y, q_total, m, n).tests == tuple(trail), y
+
+
 def test_step345_factor_found():
     outcome = step345_classical(3, 6, 91)
     assert outcome.kind is OutcomeKind.FACTOR_FOUND
@@ -146,6 +163,12 @@ def test_shor_factor_precondition_rejections():
     with pytest.raises(PreconditionError) as power:
         shor_factor(27)
     assert power.value.check == "perfect power"
+
+
+@pytest.mark.parametrize("m", [-3, 0, 1, 91, 182])
+def test_shor_factor_rejects_forced_base_outside_step1_range(m):
+    with pytest.raises(ValueError, match=r"range \[2, 90\]"):
+        shor_factor(91, ShorConfig(forced_m=m))
 
 
 def test_shor_factor_q_override():
@@ -349,6 +372,15 @@ def test_monte_carlo_rejects_bad_input():
         monte_carlo_step2(15, 3, 10, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_step2(15, 2, 0, seed=0)
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        monte_carlo_step2(0, 3, 10, seed=0)
+    # Forced outcomes are held to what factor's collapse accepts.
+    with pytest.raises(ValueError, match="sample space of size 16384"):
+        monte_carlo_step2(91, 3, 10, seed=0, forced_y=99999)
+    with pytest.raises(ValueError, match="sample space"):
+        monte_carlo_step2(91, 3, 10, seed=0, forced_y=-1)
+    with pytest.raises(ValueError, match="zero probability"):
+        monte_carlo_step2(15, 2, 10, seed=0, forced_y=1)
 
 
 def test_lucky_out_of_set_successes_are_flagged():
