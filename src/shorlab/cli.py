@@ -34,7 +34,15 @@ EXIT_USAGE = 64
 SCHEMA_VERSION = 1
 
 # Rows per write of a distribution CSV.
-CSV_CHUNK = 1 << 16
+CSV_CHUNK = 1 << 14
+# Distinct values per batch of the %.17g digit extraction.
+FORMAT_BATCH = 1 << 12
+# Decimal digits are looked up four at a time: GROUP = 10**4 entries.
+GROUP = 10**4
+# Veltkamp's splitting constant 2**27 + 1, and the largest power of ten
+# the digit extraction scales by: 10**(16 - E) with E >= -281.
+_VELTKAMP = 134217729.0
+_POW10_MAX = 297
 
 # Embedded worked example: N = 91, m = 3, forced outcome y = 13453.
 EXAMPLE = {
@@ -93,13 +101,157 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _write_csv(probs, out_path: str | None) -> None:
-    """Write the ``y,prob`` CSV, each probability printed with ``%.17g``.
+def _words(texts, dtype=np.uint32) -> np.ndarray:
+    """Equal-length byte strings as native integer words."""
+    return np.frombuffer(b"".join(texts), dtype=dtype)
 
-    Each distinct value is formatted once and kept as fixed-width ASCII;
-    values are told apart by bit pattern, so 0.0 and -0.0 keep their own
-    text.  Formatting and writing go CSV_CHUNK values at a time, so no
-    more than a chunk of Python strings is alive at once.
+
+@functools.lru_cache(maxsize=1)
+def _pow10_split() -> tuple[np.ndarray, ...]:
+    """(hh, hl, lo) with 10**s = hh + hl + lo for s = 0.._POW10_MAX.
+
+    hh + hl is 10**s rounded to a double, split into two 26-bit halves
+    (Veltkamp), and lo is the double nearest the remainder; both come from
+    exact integers, so together they carry 10**s to about 2**-106.
+    """
+    exact = [10**s for s in range(_POW10_MAX + 1)]
+    hi = np.array([float(p) for p in exact])
+    lo = np.array([float(p - int(h)) for p, h in zip(exact, hi.tolist())])
+    scaled = hi * _VELTKAMP
+    hh = scaled - (scaled - hi)
+    return hh, hi - hh, lo
+
+
+@functools.lru_cache(maxsize=1)
+def _glyph_tables() -> dict[str, np.ndarray]:
+    """Native words that spell out a CSV row; zero bytes are gaps, dropped on output.
+
+    ``group`` holds a 4-digit group in four sections of GROUP entries:
+    with trailing zeros dropped, in full, with leading zeros dropped (0
+    prints nothing), and the lone "0" of row number 0.  A value's cell is
+    8 bytes of ``prefix``, or-ed with ``lead`` (the leading digit at byte
+    6), four groups of its other 16 digits, and 8 bytes of ``tail``.  The
+    prefix is the comma, then "0." and z zeros in the fixed form (index
+    z = 0..3), or nothing in the scientific form (index 4, or 5 to put a
+    point after the leading digit).  The tail is "e-" and at least two
+    exponent digits (index -E; index 0 for the fixed form: none), then
+    the newline.
+    """
+    groups = [b"%04d" % g for g in range(GROUP)]
+    return {
+        "group": _words(
+            [g.rstrip(b"0").ljust(4, b"\0") for g in groups]
+            + groups
+            + [g.lstrip(b"0").rjust(4, b"\0") for g in groups]
+            + [b"\0\0\0" b"0"]
+        ),
+        "prefix": _words(
+            [(b",0." + b"0" * z).ljust(8, b"\0") for z in range(4)]
+            + [b",".ljust(8, b"\0"), b",".ljust(7, b"\0") + b"."],
+            np.uint64,
+        ),
+        "lead": _words((b"\0" * 6 + b"%d\0" % d for d in range(10)), np.uint64),
+        "tail": _words(
+            [b"\0" * 7 + b"\n"]
+            + [
+                (b"e-" + (b"%02d" % e).rjust(3, b"\0")).ljust(7, b"\0") + b"\n"
+                for e in range(1, 1000)
+            ],
+            np.uint64,
+        ),
+    }
+
+
+def _significands(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D, E): the 17 significant digits D and decimal exponent E that
+    ``%.17g`` prints for each value, D = -1 where not certain.
+
+    For 1e-280 < v < 1, E = floor(log10 v) and x = v * 10**(16 - E) is
+    formed as a double-double: Dekker's exact product of v and the double
+    nearest 10**(16 - E), plus v times the remainder.  Its error is below
+    about 1e-14.  D is floor(x), rounded up when the fraction is past one
+    half.  D = -1 (the caller formats the value exactly) when the
+    fraction is within 1e-6 of one half, where a tie or near tie could be
+    decided by that error; when floor(x) is outside [10**16, 10**17) or D
+    rounds up to 10**17, where log10 misjudged E next to a power of ten;
+    and for values outside (1e-280, 1): zeros, 1 and above, subnormals,
+    inf and nan.
+    """
+    certain = (values > 1e-280) & (values < 1)
+    v = np.where(certain, values, 0.5)  # placeholders keep the arithmetic quiet
+    exponent = np.floor(np.log10(v)).astype(np.int64)
+    hh, hl, lo = (table[16 - exponent] for table in _pow10_split())
+    scaled = v * _VELTKAMP
+    vh = scaled - (scaled - v)
+    vl = v - vh
+    high = v * (hh + hl)
+    low = ((vh * hh - high) + vh * hl + vl * hh) + vl * hl + v * lo
+    whole = np.floor(low)
+    frac = low - whole
+    digits = high.astype(np.int64) + whole.astype(np.int64)
+    certain &= (np.abs(frac - 0.5) > 1e-6) & (digits >= 10**16)
+    digits += frac > 0.5
+    certain &= digits < 10**17
+    digits[~certain] = -1
+    return digits, exponent
+
+
+def _cells(digits: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """The ``,%.17g\\n`` cell of each (D, E) from ``_significands``, as 8
+    uint32 words with zero bytes as gaps: the fixed form for E >= -4,
+    otherwise d.ddd, "e-" and at least two exponent digits, trailing zeros
+    dropped.  Any D in [0, 10**17) and E in [-999, -1] index the tables."""
+    tables = _glyph_tables()
+    exponent = exponent.astype(np.int64)
+    first = digits // 10**16
+    rest = digits - first * 10**16
+    upper = rest // 10**8
+    lower = rest - upper * 10**8
+    groups = []
+    for part in (upper, lower):
+        high = part // GROUP
+        groups += [high, part - high * GROUP]
+    cells = np.empty((digits.size, 8), dtype=np.uint32)
+    # A group prints in full when a later group is nonzero; otherwise its
+    # trailing zeros are dropped (and a zero group prints nothing).
+    later = np.zeros(digits.size, dtype=bool)
+    for i in (3, 2, 1, 0):
+        cells[:, 2 + i] = np.take(tables["group"], groups[i] + GROUP * later)
+        later |= groups[i] != 0
+    fixed = exponent >= -4
+    quads = cells.view(np.uint64)
+    quads[:, 0] = np.take(tables["prefix"], np.where(fixed, -1 - exponent, 4 + later))
+    quads[:, 0] |= np.take(tables["lead"], first)
+    quads[:, 3] = np.take(tables["tail"], np.where(fixed, 0, -exponent))
+    return cells
+
+
+def _row_numbers(start: int, count: int, width: int) -> np.ndarray:
+    """Row numbers start..start+count-1 in decimal, as ``width`` words of
+    4-digit groups with the leading zeros as gaps."""
+    table = _glyph_tables()["group"]
+    y = np.arange(start, start + count, dtype=np.int64)
+    words = np.empty((count, width), dtype=np.uint32)
+    for i in range(width):
+        scale = GROUP ** (width - 1 - i)
+        group = y // scale
+        group -= group // GROUP * GROUP
+        # In full after a nonzero group, else with its leading zeros dropped.
+        group += np.where(y >= scale * GROUP, GROUP, 2 * GROUP)
+        words[:, i] = np.take(table, group)
+    if start == 0:
+        words[0, -1] = table[3 * GROUP]
+    return words
+
+
+def _write_csv(probs, out_path: str | None) -> None:
+    """Write the ``y,prob`` CSV, each probability printed as ``%.17g`` prints it.
+
+    The distinct values (by bit pattern, so 0.0 and -0.0 keep their own
+    text) get their digits from ``_significands`` FORMAT_BATCH at a time;
+    the few it is not certain of are formatted by ``format`` instead.
+    Rows go out CSV_CHUNK at a time as one byte matrix, the row number's
+    words and then the value's cell, with the gaps dropped.
     """
     bits = np.ascontiguousarray(probs, dtype=np.float64).view(np.int64)
     # Sort and mask rather than np.unique, which hashes in numpy 2 and is
@@ -108,24 +260,38 @@ def _write_csv(probs, out_path: str | None) -> None:
     first = np.ones(distinct.size, dtype=bool)
     first[1:] = distinct[1:] != distinct[:-1]
     distinct = distinct[first]
-    values = distinct.view(np.float64)
-    # "%.17g" is at most 24 characters: a sign, 17 digits, a point, "e-308".
-    texts = np.empty(distinct.size, dtype="S24")
-    for start in range(0, values.size, CSV_CHUNK):
-        chunk = values[start : start + CSV_CHUNK].tolist()
-        texts[start : start + len(chunk)] = [format(v, ".17g") for v in chunk]
-    with (
-        open(out_path, "w", encoding="utf-8", newline="\n")
-        if out_path
-        else contextlib.nullcontext(sys.stdout)
-    ) as handle:
-        handle.write("y,prob\n")
+    del first
+    # Per distinct value: D and E, or for a value formatted exactly
+    # (D < 10**16) the index of its cell in `formatted`.
+    digits = np.empty(distinct.size, dtype=np.int64)
+    exponent = np.empty(distinct.size, dtype=np.int16)
+    formatted = []
+    for start in range(0, distinct.size, FORMAT_BATCH):
+        values = distinct[start : start + FORMAT_BATCH].view(np.float64)
+        batch_digits, batch_exponent = _significands(values)
+        for i in np.flatnonzero(batch_digits < 0).tolist():
+            batch_digits[i], batch_exponent[i] = len(formatted), -1
+            text = b"," + format(values[i], ".17g").encode("ascii")
+            formatted.append(text.ljust(31, b"\0") + b"\n")
+        digits[start : start + values.size] = batch_digits
+        exponent[start : start + values.size] = batch_exponent
+    formatted = _words(formatted).reshape(-1, 8)
+    width = -(-len(str(max(bits.size - 1, 0))) // 4)
+    row = np.dtype([("y", np.uint32, (width,)), ("cell", np.uint32, (8,))])
+    rows = np.empty(min(bits.size, CSV_CHUNK), dtype=row)
+    with open(out_path, "wb") if out_path else contextlib.nullcontext() as handle:
+        write = handle.write if handle else lambda data: sys.stdout.write(data.decode("ascii"))
+        write(b"y,prob\n")
         for start in range(0, bits.size, CSV_CHUNK):
-            chunk = bits[start : start + CSV_CHUNK]
-            cells = [None] * (2 * chunk.size)
-            cells[0::2] = range(start, start + chunk.size)
-            cells[1::2] = texts[np.searchsorted(distinct, chunk)].tolist()
-            handle.write((b"%d,%s\n" * chunk.size % tuple(cells)).decode("ascii"))
+            chunk = rows[: min(CSV_CHUNK, bits.size - start)]
+            where = np.searchsorted(distinct, bits[start : start + chunk.size])
+            row_digits = digits[where]
+            cells = _cells(row_digits, exponent[where])
+            exact = np.flatnonzero(row_digits < 10**16)
+            cells[exact] = formatted[row_digits[exact]]
+            chunk["y"] = _row_numbers(start, chunk.size, width)
+            chunk["cell"] = cells
+            write(chunk.tobytes().translate(None, b"\0"))
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,8 +13,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .numtheory import gcd_euclid
-
 
 @dataclass(frozen=True)
 class CFExpansion:
@@ -70,11 +68,3 @@ def cf_expand(numerator: int, denominator: int) -> CFExpansion:
         convergents=tuple((p, q) for _, p, q in terms),
     )
 
-
-def is_convergent(a: int, b: int, numerator: int, denominator: int) -> bool:
-    """True iff a/b in lowest terms is a convergent of numerator/denominator."""
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    g = gcd_euclid(a, b) if a else b
-    target = (a // g, b // g)
-    return target in cf_expand(numerator, denominator).convergents

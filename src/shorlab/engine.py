@@ -35,10 +35,14 @@ class CapacityError(Exception):
     """Input exceeds the configured desk-scale size cap."""
 
 
+# Most amplitudes the circuit's rows may hold after the entangler (1 GiB of
+# complex128, before the transform's copies), checked before they exist.
+CIRCUIT_MAX_AMPLITUDES = 1 << 26
 # Largest register size the vectorized closed form accepts: its int64
 # residues multiply two values below Q, exact while Q**2 < 2**63.
 CLOSED_FORM_MAX_Q = 1 << 31
-# Entries per batch of Python floats while the closed form's sin^2 table is built.
+# Entries per batch of the closed form: table entries built from Python
+# floats, and outcomes evaluated, at a time.
 SIN2_BATCH = 1 << 16
 
 
@@ -134,12 +138,6 @@ class JointState:
     def amplitudes(self) -> Mapping[tuple[int, int], complex]:
         return _Amplitudes(self.levels, self.rows)
 
-    def norm(self) -> float:
-        return math.sqrt(float(_probabilities(self.rows).sum()))
-
-    def register2_values(self) -> set[int]:
-        return {int(v) for v in self.levels}
-
 
 @dataclass
 class OutcomeDistribution:
@@ -209,7 +207,8 @@ def apply_modexp_entangler(state: JointState, f: ModExpFunction) -> JointState:
     its new register-2 value and keeps its column, never combined with
     another, so the norm is preserved exactly and applying it twice
     restores the state.  On register-2 value 0 it reduces to
-    |x>|0> -> |x>|f(x)>.
+    |x>|0> -> |x>|f(x)>.  Raises CapacityError, before the new rows are
+    allocated, when they would hold more than CIRCUIT_MAX_AMPLITUDES.
     """
     n = f.N
     if state.levels.size and state.levels[-1] >= n:
@@ -217,6 +216,11 @@ def apply_modexp_entangler(state: JointState, f: ModExpFunction) -> JointState:
     row, x = np.nonzero(state.rows)
     targets = (f.table(state.geometry.Q)[x] - state.levels[row]) % n
     levels, target_row = np.unique(targets, return_inverse=True)
+    if levels.size * state.geometry.Q > CIRCUIT_MAX_AMPLITUDES:
+        raise CapacityError(
+            f"the circuit needs {levels.size} register-2 rows of Q={state.geometry.Q} "
+            f"amplitudes, past the budget of 2**26 = {CIRCUIT_MAX_AMPLITUDES} amplitudes"
+        )
     rows = np.zeros((levels.size, state.geometry.Q), dtype=np.complex128)
     rows[target_row, x] = state.rows[row, x]
     return JointState(state.geometry, levels, rows)
@@ -333,7 +337,9 @@ def closed_form_distribution(params: ClosedFormParams) -> OutcomeDistribution:
     |k| <= Q/2 and, sin^2 being even, one table over k = 0..Q/2 serves
     them all.  The residues are exact while a product of two values below
     Q fits in int64, hence the budget Q <= CLOSED_FORM_MAX_Q, checked
-    before anything is allocated.
+    before anything is allocated.  The outcomes are taken SIN2_BATCH at a
+    time and written straight into the result, so the temporaries stay
+    small.
     """
     P, Q, q, r, Q0 = params.P, params.Q, params.q, params.r, params.Q0
     if Q > CLOSED_FORM_MAX_Q:
@@ -349,25 +355,21 @@ def closed_form_distribution(params: ClosedFormParams) -> OutcomeDistribution:
         np.minimum(residue, Q - residue, out=residue)
         return sin2[residue]
 
-    # Products are taken in place and each residue array is dropped once
-    # read, which keeps the peak near four arrays of Q entries.  (IEEE
-    # products commute, so sin2 * r is bit for bit r * sin2.)
-    t = np.arange(Q, dtype=np.int64)
-    t *= P % Q
-    t %= Q  # P*y mod Q
-    tq = t * (q % Q)
-    tq %= Q  # t*q mod Q
-    tq1 = tq + t
-    tq1[tq1 >= Q] -= Q  # t*(q+1) mod Q
-    numerator = sin2_at(tq1)
-    del tq1
-    numerator *= float(r)
-    numerator += float(P - r) * sin2_at(tq)
-    del tq
-    nonzero = t != 0
-    denominator = sin2_at(t)
-    del t
-    denominator *= float(Q * Q)
+    # (IEEE products commute, so sin2 * r is bit for bit r * sin2.)
     probs = np.full(Q, (r * (Q0 + P) ** 2 + (P - r) * Q0**2) / (Q * Q * P * P))
-    np.divide(numerator, denominator, out=probs, where=nonzero)
+    for start in range(0, Q, SIN2_BATCH):
+        t = np.arange(start, min(start + SIN2_BATCH, Q), dtype=np.int64)
+        t *= P % Q
+        t %= Q  # P*y mod Q
+        tq = t * (q % Q)
+        tq %= Q  # t*q mod Q
+        tq1 = tq + t
+        tq1[tq1 >= Q] -= Q  # t*(q+1) mod Q
+        numerator = sin2_at(tq1)
+        numerator *= float(r)
+        numerator += float(P - r) * sin2_at(tq)
+        nonzero = t != 0
+        denominator = sin2_at(t)
+        denominator *= float(Q * Q)
+        np.divide(numerator, denominator, out=probs[start : start + t.size], where=nonzero)
     return OutcomeDistribution(probs)

@@ -3,8 +3,8 @@
 Everything here runs on Python's arbitrary-precision integers, so products
 up to 2*N^3 (the largest values the factoring pipeline produces) are exact
 by construction.  The brute-force routines (multiplicative_order,
-euler_totient, distinct_prime_factors) double as independent test oracles
-for the rest of the package; keep them dumb and obviously correct.
+euler_totient) double as independent test oracles for the rest of the
+package; keep them dumb and obviously correct.
 """
 
 from __future__ import annotations
@@ -168,23 +168,6 @@ def euler_totient(n: int) -> int:
     if n == 1:
         return 1
     return sum(1 for k in range(1, n) if gcd_euclid(k, n) == 1)
-
-
-def distinct_prime_factors(n: int) -> set[int]:
-    """Set of distinct primes dividing n, by trial division."""
-    if n < 2:
-        raise ValueError("factorization is defined for n >= 2")
-    factors: set[int] = set()
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.add(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.add(n)
-    return factors
 
 
 def nearest_int(num: int, den: int) -> int:

@@ -158,11 +158,6 @@ def d_from_y(period: int, q_total: int, y: int) -> int:
     return numtheory.nearest_int(period * y, q_total)
 
 
-def y_from_d(period: int, q_total: int, d: int) -> int:
-    """y(d) = round(Q*d/P), inverse of d_from_y on the bijection set."""
-    return numtheory.nearest_int(q_total * d, period)
-
-
 def bijection_set(period: int, q_total: int) -> list[int]:
     """The outcomes y with |{P*y}_Q| <= P/2; exactly P of them, one per d."""
     half = period / 2.0
@@ -243,8 +238,8 @@ def shor_factor(n: int, config: ShorConfig | None = None) -> tuple[StepOutcome, 
     Returns the final outcome plus a trace recording every attempt.  The
     forced_m / forced_y config fields replay a specific run (the forced
     base must lie in step 1's range [2, N-1] and the forced outcome must
-    have nonzero probability); q_override substitutes an admissible
-    register size for the default one.
+    have nonzero probability); with both forced the run makes one attempt.
+    q_override substitutes an admissible register size for the default one.
     """
     config = config or ShorConfig()
     started = time.perf_counter()
@@ -261,7 +256,10 @@ def shor_factor(n: int, config: ShorConfig | None = None) -> tuple[StepOutcome, 
     # The circuit is deterministic in (geometry, m): an attempt that draws
     # the previous attempt's base measures the same state again.
     circuit_m, state = None, None
-    for _ in range(config.max_outer_retries):
+    # With both the base and the outcome forced, every attempt repeats the
+    # first one exactly, so one attempt decides the run.
+    replay = config.forced_m is not None and config.forced_y is not None
+    for _ in range(1 if replay else config.max_outer_retries):
         if config.forced_m is not None:
             m = config.forced_m
             g = numtheory.gcd_euclid(m, n)

@@ -29,7 +29,7 @@ from shorlab.numtheory import (
     multiplicative_order,
     smallest_magnitude_residue,
 )
-from shorlab.pipeline import LB_TABLE, bijection_set, d_from_y, y_from_d
+from shorlab.pipeline import LB_TABLE, bijection_set, d_from_y
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -202,11 +202,11 @@ def test_criterion_07_rounding_bijection(capsys):
             d = d_from_y(period, geometry.Q, y)
             seen.add(d)
             ok = ok and 0 <= d < period
-            ok = ok and y_from_d(period, geometry.Q, d) == y
+            ok = ok and support.y_from_d(period, geometry.Q, d) == y
             ok = ok and smallest_magnitude_residue(period * y, geometry.Q) == period * y - geometry.Q * d
         ok = ok and seen == set(range(period))
         for d in range(period):
-            ok = ok and d_from_y(period, geometry.Q, y_from_d(period, geometry.Q, d)) == d
+            ok = ok and d_from_y(period, geometry.Q, support.y_from_d(period, geometry.Q, d)) == d
     with capsys.disabled():
         report(7, "rounding maps are mutually inverse between Y and the period set", ok)
 

@@ -1,14 +1,19 @@
 """Command-line contract: exit codes, JSON/CSV shapes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import support
 from shorlab import cli
-from shorlab.engine import closed_form_params, closed_form_prob
+from shorlab.engine import closed_form_distribution, closed_form_params, closed_form_prob
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +55,7 @@ def test_factor_exit_codes(capsys):
     )
     assert code == 3
     assert json.loads(out)["trace"]["outcome"]["kind"] == "period_recovery_failed"
+    assert len(json.loads(out)["trace"]["attempts"]) == 1  # a forced replay repeats nothing
 
 
 def test_factor_rejects_inputs_past_int64(capsys):
@@ -153,6 +159,80 @@ def test_write_csv_matches_naive_writer(capsys, tmp_path):
     for probs in ([0.5], [0.5, 0.5], np.linspace(0, 1, cli.CSV_CHUNK)):
         cli._write_csv(probs, None)
         assert capsys.readouterr().out == support.naive_csv(probs)
+
+
+def test_write_csv_formats_a_million_values_as_format_does(tmp_path):
+    # The vectorized %.17g against format(v, ".17g"), one value per row.
+    rng = np.random.default_rng(17)
+    below_one = rng.integers(1, np.float64(1.0).view(np.int64), size=10**6).view(np.float64)
+    powers_of_ten = np.array([10.0**-k for k in range(301)]).view(np.int64)
+    near_powers = (powers_of_ten[:, None] + np.arange(-3, 4)).ravel().view(np.float64)
+    halves = np.ldexp(1.0, -np.arange(1, 1075))
+    # j * 2**-k with 18 significant digits ending in 5: exact ties, odd and even.
+    ties = np.ldexp(np.arange(1, 4000, 2, dtype=np.float64)[:, None], -np.arange(20, 40)).ravel()
+    edges = [0.0, -0.0, 1.0, 1.5, 2.0, 1e16, 1e300, np.inf, -np.inf, np.nan, -0.25, 1e-280]
+    subnormals = [5e-324, 2.2250738585072014e-308 / 3, np.nextafter(2.2250738585072014e-308, 0)]
+    closed_forms = [
+        np.unique(closed_form_distribution(closed_form_params(period, 1 << bits)).probs)
+        for period, bits in ((7, 16), (24, 17), (45, 18), (23, 20))
+    ]
+    values = np.concatenate(
+        [below_one, near_powers, halves, ties, edges, subnormals, *closed_forms]
+    )
+    assert values.size > 10**6 + 500_000
+    # The fast path, not the exact fallback, formats nearly all of them.
+    digits, _ = cli._significands(below_one[below_one > 1e-280])
+    assert np.mean(digits < 0) < 1e-4
+    out_path = tmp_path / "values.csv"
+    cli._write_csv(values, str(out_path))
+    assert out_path.read_bytes() == support.naive_csv(values).encode("ascii")
+
+
+def test_closed_form_csv_traced_peaks_at_q_2_20(tmp_path):
+    # Q = 2**20 with an odd period: 524289 distinct values.  The result
+    # alone is 8 MiB, the sin^2 table 4 MiB more.
+    tracemalloc.start()
+    try:
+        probs = closed_form_distribution(closed_form_params(23, 1 << 20)).probs
+        _, closed_form_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        cli._write_csv(probs, str(tmp_path / "q20.csv"))
+        _, csv_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert closed_form_peak < 20 << 20
+    assert csv_peak < 28 << 20
+
+
+def test_simulation_over_circuit_budget_is_rejected_before_allocating():
+    # N = 1003, m = 2 needs 232 rows of Q = 2**20 amplitudes: 3.9 GB.  The
+    # child may map at most 2 GiB, so without the check it dies with a
+    # MemoryError instead of taking the machine's memory.
+    script = textwrap.dedent(
+        """
+        import resource, tracemalloc
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        from shorlab import cli
+        tracemalloc.start()
+        code = cli.main(["distribution", "1003", "2", "--simulate"])
+        print(code, tracemalloc.get_traced_memory()[1])
+        """
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # One BLAS thread, so the thread stacks numpy starts on import do not
+    # count against the limit on a machine with many cores.
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    code, peak = map(int, done.stdout.split())
+    assert code == 2
+    assert "232 register-2 rows" in done.stderr and "2**26" in done.stderr
+    # The register-1 transform of |0> and the entangler's index arrays at
+    # Q = 2**20 take about 80 MiB; the rejected rows would take 3.6 GiB.
+    assert peak < 128 << 20
 
 
 @pytest.mark.parametrize("mode", ["--closed-form", "--compare"])

@@ -101,9 +101,9 @@ def test_close_approximations_are_convergents():
 
 
 def test_is_convergent_pinned_values():
-    assert contfrac.is_convergent(5, 6, 13453, 16384)
-    assert not contfrac.is_convergent(1, 2, 13453, 16384)
-    assert contfrac.is_convergent(0, 1, 0, 7)
-    assert contfrac.is_convergent(10, 12, 13453, 16384)  # reduces to 5/6
+    assert support.is_convergent(5, 6, 13453, 16384)
+    assert not support.is_convergent(1, 2, 13453, 16384)
+    assert support.is_convergent(0, 1, 0, 7)
+    assert support.is_convergent(10, 12, 13453, 16384)  # reduces to 5/6
     with pytest.raises(ValueError):
-        contfrac.is_convergent(1, 0, 1, 2)
+        support.is_convergent(1, 0, 1, 2)

@@ -133,11 +133,11 @@ def test_euler_totient_pinned_values():
 
 
 def test_distinct_prime_factors():
-    assert nt.distinct_prime_factors(91) == {7, 13}
-    assert nt.distinct_prime_factors(8) == {2}
-    assert nt.distinct_prime_factors(30) == {2, 3, 5}
+    assert support.distinct_prime_factors(91) == {7, 13}
+    assert support.distinct_prime_factors(8) == {2}
+    assert support.distinct_prime_factors(30) == {2, 3, 5}
     with pytest.raises(ValueError):
-        nt.distinct_prime_factors(1)
+        support.distinct_prime_factors(1)
 
 
 def test_smallest_magnitude_residue_pinned_values():

@@ -29,7 +29,6 @@ from shorlab.pipeline import (
     step345_classical,
     success_lower_bound,
     wilson_interval,
-    y_from_d,
 )
 
 
@@ -181,8 +180,9 @@ def test_shor_factor_q_override():
 
 
 def test_shor_factor_retries_exhausted():
-    # forced y = 0 never recovers a period, so every retry burns out
-    config = ShorConfig(forced_m=3, forced_y=0, max_outer_retries=3)
+    # forced y = 0 never recovers a period, so every retry burns out; the
+    # bases are drawn (this seed draws three units), so no attempt repeats
+    config = ShorConfig(rng_seed=1, forced_y=0, max_outer_retries=3)
     outcome, trace = shor_factor(91, config)
     assert outcome.kind is OutcomeKind.PERIOD_RECOVERY_FAILED
     assert outcome.factor is None
@@ -191,10 +191,17 @@ def test_shor_factor_retries_exhausted():
     assert all(a.outcome_kind is OutcomeKind.PERIOD_RECOVERY_FAILED for a in trace.attempts)
 
 
+def test_fully_forced_replay_makes_one_attempt():
+    # With m and y both forced every attempt would repeat the first.
+    outcome, trace = shor_factor(91, ShorConfig(forced_m=3, forced_y=0))
+    assert outcome.kind is OutcomeKind.PERIOD_RECOVERY_FAILED
+    assert len(trace.attempts) == 1 and trace.retries == 1
+    assert trace.attempts[0].y == 0 and trace.attempts[0].period is None
+
+
 def test_shor_factor_reuses_circuit_for_repeated_base(monkeypatch):
-    # Each single-attempt run simulates its own circuit: together they are
-    # the uncached three-attempt run.
-    _, one_attempt = shor_factor(91, ShorConfig(forced_m=3, forced_y=0, max_outer_retries=1))
+    # A forced base with drawn outcomes: one circuit serves every attempt,
+    # and each attempt's record is the scan of its own outcome.
     calls = []
     real = engine.period_finding_state
 
@@ -203,12 +210,16 @@ def test_shor_factor_reuses_circuit_for_repeated_base(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(engine, "period_finding_state", counting)
-    _, trace = shor_factor(91, ShorConfig(forced_m=3, forced_y=0, max_outer_retries=3))
+    config = ShorConfig(rng_seed=5, forced_m=3)  # four attempts
+    outcome, trace = shor_factor(91, config)
     assert len(calls) == 1
-    expected = one_attempt.to_dict()
-    expected["attempts"] *= 3
-    expected["retries"] = 3
-    assert trace.to_dict() == expected
+    assert len(trace.attempts) >= 3 and outcome.factor == 13
+    rows = real(*calls[0]).rows
+    for attempt in trace.attempts:
+        assert np.abs(rows[:, attempt.y]).max() > 0
+        assert attempt.convergent_tests == step25_recover_period(attempt.y, trace.Q, 3, 91).tests
+    monkeypatch.undo()
+    assert shor_factor(91, config)[1].to_dict() == trace.to_dict()
 
 
 def test_trace_replay_reproduces_convergent_tests():
@@ -260,19 +271,18 @@ def test_bijection_lemma_exhaustive():
         for y in members:
             d = d_from_y(period, geometry.Q, y)
             assert 0 <= d < period
-            assert y_from_d(period, geometry.Q, d) == y
+            assert support.y_from_d(period, geometry.Q, d) == y
             images.add(d)
             # the scaled residue is exactly the rounding defect
             assert smallest_magnitude_residue(period * y, geometry.Q) == period * y - geometry.Q * d
         assert images == set(range(period))
         for d in range(period):
-            y = y_from_d(period, geometry.Q, d)
+            y = support.y_from_d(period, geometry.Q, d)
             assert y in members
             assert d_from_y(period, geometry.Q, y) == d
 
 
 def test_convergent_membership_over_bijection_set():
-    from shorlab.contfrac import is_convergent
 
     for n, m in support.PAIRS:
         geometry = choose_geometry(n)
@@ -280,7 +290,7 @@ def test_convergent_membership_over_bijection_set():
         for y in bijection_set(period, geometry.Q):
             d = d_from_y(period, geometry.Q, y)
             g = math.gcd(d, period) if d else period
-            assert is_convergent(d // g, period // g, y, geometry.Q), (n, m, y)
+            assert support.is_convergent(d // g, period // g, y, geometry.Q), (n, m, y)
 
 
 def test_aggregate_probability_bound():
@@ -391,6 +401,6 @@ def test_lucky_out_of_set_successes_are_flagged():
     assert attempt.period == 6
     assert attempt.y_in_bijection_set is False
     # an in-set outcome for contrast
-    y_in = y_from_d(6, 16384, 1)
+    y_in = support.y_from_d(6, 16384, 1)
     _, trace_in = shor_factor(91, ShorConfig(forced_m=3, forced_y=y_in))
     assert trace_in.attempts[0].y_in_bijection_set is True
