@@ -455,6 +455,7 @@ def _replicate_fields(perturb: bool) -> list[dict]:
     config = pipeline.ShorConfig(forced_m=expected["m"], forced_y=expected["y"])
     outcome, trace = pipeline.shor_factor(expected["N"], config)
     attempt = trace.attempts[0]
+    candidates = {t[0]: list(t) for t in attempt.convergent_tests}
 
     expansion = contfrac.cf_expand(expected["y"], trace.Q)
     params = engine.closed_form_params(expected["period"], trace.Q)
@@ -487,20 +488,8 @@ def _replicate_fields(perturb: bool) -> list[dict]:
             True,
             abs(prob_simulated - prob_closed) <= 1e-9,
         ),
-        field(
-            "rejected_candidate",
-            list(expected["rejected_candidate"]),
-            [list(t) for t in attempt.convergent_tests if t[0] == 2][0]
-            if any(t[0] == 2 for t in attempt.convergent_tests)
-            else None,
-        ),
-        field(
-            "accepted_candidate",
-            list(expected["accepted_candidate"]),
-            [list(t) for t in attempt.convergent_tests if t[0] == 3][0]
-            if any(t[0] == 3 for t in attempt.convergent_tests)
-            else None,
-        ),
+        field("rejected_candidate", list(expected["rejected_candidate"]), candidates.get(2)),
+        field("accepted_candidate", list(expected["accepted_candidate"]), candidates.get(3)),
         field("period", expected["period"], attempt.period),
         field("half_power", expected["half_power"], half_power),
         field("gcd_value", expected["factor"], gcd_value),

@@ -231,31 +231,42 @@ def reg1_distribution(state: JointState) -> OutcomeDistribution:
     return OutcomeDistribution(_probabilities(state.rows).sum(axis=0))
 
 
+def draw_outcome(cumulative: np.ndarray, u):
+    """Inverse-CDF draw: the outcome whose cumulative-mass interval holds u.
+
+    ``cumulative`` is np.cumsum of a distribution's probs and u is uniform
+    in [0, 1), a float or an array of them.  The result is the first index
+    whose cumulative mass exceeds u * cumulative[-1], and it always has
+    nonzero probability: a zero-probability outcome repeats its
+    predecessor's cumulative value, so side="right" passes it by.  It is
+    also always in range, since Generator.random() is at most 1 - 2**-53
+    and u * cumulative[-1] then rounds to below cumulative[-1].
+    """
+    return np.searchsorted(cumulative, u * cumulative[-1], side="right")
+
+
+def check_outcome(dist: OutcomeDistribution, y: int) -> int:
+    """Return a forced outcome y after checking it can be measured at all:
+    in the sample space [0, Q) and of nonzero probability."""
+    if not 0 <= y < dist.probs.size:
+        raise ValueError(f"outcome {y} outside the sample space of size {dist.probs.size}")
+    if dist.probs[y] == 0.0:
+        raise ValueError(f"outcome {y} has zero probability")
+    return y
+
+
 def collapse_reg1(state: JointState, y0: int) -> JointState:
     """Project register 1 onto |y0> and renormalize the surviving column."""
-    if not 0 <= y0 < state.geometry.Q:
-        raise ValueError(f"outcome {y0} outside the sample space of size {state.geometry.Q}")
+    check_outcome(reg1_distribution(state), y0)
     column = state.rows[:, y0]
-    norm = math.sqrt(float(_probabilities(column).sum()))
-    if norm == 0.0:
-        raise ValueError(f"outcome {y0} has zero probability; collapse undefined")
     rows = np.zeros_like(state.rows)
-    rows[:, y0] = column / norm
+    rows[:, y0] = column / math.sqrt(float(_probabilities(column).sum()))
     return JointState(state.geometry, state.levels, rows)
 
 
 def measure_reg1(state: JointState, rng: np.random.Generator) -> tuple[int, JointState]:
-    """Sample a register-1 outcome by inverse CDF and collapse onto it.
-
-    Zero-probability outcomes are never selected: their cumulative mass is
-    flat, so the searchsorted step cannot land on them.
-    """
-    dist = reg1_distribution(state)
-    cumulative = np.cumsum(dist.probs)
-    u = rng.random() * cumulative[-1]
-    y0 = int(np.searchsorted(cumulative, u, side="right"))
-    if y0 >= dist.probs.size or dist.probs[y0] == 0.0:
-        y0 = int(np.max(np.nonzero(dist.probs)))
+    """Sample a register-1 outcome by inverse CDF and collapse onto it."""
+    y0 = int(draw_outcome(np.cumsum(reg1_distribution(state).probs), rng.random()))
     return y0, collapse_reg1(state, y0)
 
 

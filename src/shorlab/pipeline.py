@@ -254,8 +254,8 @@ def shor_factor(n: int, config: ShorConfig | None = None) -> tuple[StepOutcome, 
     trace = FactorizationTrace(N=n, Q=geometry.Q, L=geometry.L)
     outcome = StepOutcome(OutcomeKind.PERIOD_RECOVERY_FAILED)
     # The circuit is deterministic in (geometry, m): an attempt that draws
-    # the previous attempt's base measures the same state again.
-    circuit_m, state = None, None
+    # the previous attempt's base reuses its outcome distribution.
+    circuit_m = None
     # With both the base and the outcome forced, every attempt repeats the
     # first one exactly, so one attempt decides the run.
     replay = config.forced_m is not None and config.forced_y is not None
@@ -272,13 +272,13 @@ def shor_factor(n: int, config: ShorConfig | None = None) -> tuple[StepOutcome, 
             )
             break
         if m != circuit_m:
-            state = engine.period_finding_state(geometry, engine.ModExpFunction(m, n))
+            dist = engine.simulated_distribution(geometry, engine.ModExpFunction(m, n))
+            cumulative = np.cumsum(dist.probs)
             circuit_m = m
         if config.forced_y is not None:
-            y = config.forced_y
-            engine.collapse_reg1(state, y)  # rejects zero-probability outcomes
+            y = engine.check_outcome(dist, config.forced_y)
         else:
-            y, _ = engine.measure_reg1(state, rng)
+            y = int(engine.draw_outcome(cumulative, rng.random()))
         recovery = step25_recover_period(y, geometry.Q, m, n)
         if recovery.period is None:
             trace.attempts.append(
@@ -427,11 +427,7 @@ def monte_carlo_step2(
     period = numtheory.multiplicative_order(m, n)
     dist = engine.simulated_distribution(geometry, engine.ModExpFunction(m, n))
     if forced_y is not None:
-        if not 0 <= forced_y < geometry.Q:
-            raise ValueError(f"outcome {forced_y} outside the sample space of size {geometry.Q}")
-        if dist.probs[forced_y] == 0.0:
-            raise ValueError(f"outcome {forced_y} has zero probability")
-        outcomes, counts = [forced_y], [trials]
+        outcomes, counts = [engine.check_outcome(dist, forced_y)], [trials]
     else:
         cumulative = np.cumsum(dist.probs)
         hits = np.zeros(geometry.Q, dtype=np.int64)
@@ -444,8 +440,7 @@ def monte_carlo_step2(
                 dtype=np.float64,
                 count=size,
             )
-            ys = np.searchsorted(cumulative, uniforms * cumulative[-1], side="right")
-            hits += np.bincount(ys, minlength=geometry.Q)
+            hits += np.bincount(engine.draw_outcome(cumulative, uniforms), minlength=geometry.Q)
         ys = np.flatnonzero(hits)
         outcomes, counts = ys.tolist(), hits[ys].tolist()
     histogram = {"recovered_order": 0, "recovered_multiple": 0, "unrecovered": 0}

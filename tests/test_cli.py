@@ -378,6 +378,7 @@ REJECTED_INPUTS = [
     (("cf", "-5", "3"), "numerator must be non-negative"),
     (("factor", "91", "--forced-m", "0"), "range [2, 90]"),
     (("factor", "91", "--forced-m", "182"), "range [2, 90]"),
+    (("factor", "91", "--forced-m", "3", "--forced-y", "99999"), "sample space of size 16384"),
     (("factor", "15", "--forced-m", "2", "--forced-y", "1"), "zero probability"),
     (("factor", "97"), "precondition failed (probable prime)"),
 ]

@@ -383,6 +383,25 @@ def test_measure_frequencies_match_distribution():
         assert abs(counts[y] - draws * probs[y]) <= 3.0 * sigma, (y, counts[y])
 
 
+def test_inverse_cdf_edges_land_on_possible_outcomes():
+    # u = 0 and u = 1 - 2**-53 are the smallest and largest values
+    # Generator.random() returns; they must draw the first and the last
+    # outcome of nonzero probability, past any flat tail of the cumsum.
+    primes = set(support.sieve_primes(64))
+    for n in range(9, 64, 2):
+        if n in primes:
+            continue
+        geometry = choose_geometry(n)
+        for m in range(2, n):
+            if math.gcd(m, n) != 1:
+                continue
+            probs = simulated_distribution(geometry, ModExpFunction(m, n)).probs
+            cumulative = np.cumsum(probs)
+            possible = np.flatnonzero(probs)
+            assert engine.draw_outcome(cumulative, 0.0) == possible[0], (n, m)
+            assert engine.draw_outcome(cumulative, 1.0 - 2.0**-53) == possible[-1], (n, m)
+
+
 def test_distribution_partition_merge_matches_serial():
     params = closed_form_params(6, 16384)
     serial = closed_form_distribution(params).probs

@@ -210,16 +210,25 @@ def test_shor_factor_reuses_circuit_for_repeated_base(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(engine, "period_finding_state", counting)
-    config = ShorConfig(rng_seed=5, forced_m=3)  # four attempts
+    config = ShorConfig(rng_seed=5, forced_m=3)
     outcome, trace = shor_factor(91, config)
     assert len(calls) == 1
-    assert len(trace.attempts) >= 3 and outcome.factor == 13
+    assert [a.y for a in trace.attempts] == [10923, 10923, 8192, 2731]
+    assert outcome.factor == 13
     rows = real(*calls[0]).rows
     for attempt in trace.attempts:
         assert np.abs(rows[:, attempt.y]).max() > 0
         assert attempt.convergent_tests == step25_recover_period(attempt.y, trace.Q, 3, 91).tests
     monkeypatch.undo()
     assert shor_factor(91, config)[1].to_dict() == trace.to_dict()
+
+
+def test_seeded_run_draws_pinned_outcomes():
+    # Which bases and outcomes a seed draws is part of the replay contract.
+    outcome, trace = shor_factor(91, ShorConfig(rng_seed=12345))
+    drawn = [(a.m, a.y) for a in trace.attempts]
+    assert drawn == [(64, 0), (22, 10923), (59, 5461), (62, 2755), (52, None)]
+    assert outcome.kind is OutcomeKind.LUCKY_GCD and outcome.factor == 13
 
 
 def test_trace_replay_reproduces_convergent_tests():
@@ -384,7 +393,7 @@ def test_monte_carlo_rejects_bad_input():
         monte_carlo_step2(15, 2, 0, seed=0)
     with pytest.raises(ValueError, match="modulus must be >= 2"):
         monte_carlo_step2(0, 3, 10, seed=0)
-    # Forced outcomes are held to what factor's collapse accepts.
+    # Forced outcomes are checked as in factor: in [0, Q), nonzero probability.
     with pytest.raises(ValueError, match="sample space of size 16384"):
         monte_carlo_step2(91, 3, 10, seed=0, forced_y=99999)
     with pytest.raises(ValueError, match="sample space"):
