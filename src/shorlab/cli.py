@@ -35,8 +35,6 @@ SCHEMA_VERSION = 1
 
 # Rows per write of a distribution CSV.
 CSV_CHUNK = 1 << 14
-# Distinct values per batch of the %.17g digit extraction.
-FORMAT_BATCH = 1 << 12
 # Decimal digits are looked up four at a time: GROUP = 10**4 entries.
 GROUP = 10**4
 # Veltkamp's splitting constant 2**27 + 1, and the largest power of ten
@@ -200,7 +198,9 @@ def _cells(digits: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     """The ``,%.17g\\n`` cell of each (D, E) from ``_significands``, as 8
     uint32 words with zero bytes as gaps: the fixed form for E >= -4,
     otherwise d.ddd, "e-" and at least two exponent digits, trailing zeros
-    dropped.  Any D in [0, 10**17) and E in [-999, -1] index the tables."""
+    dropped.  Any D in [0, 10**17) and E in [-999, -1] index the tables,
+    and so does D = -1, whose cell is a placeholder for the caller to
+    overwrite."""
     tables = _glyph_tables()
     exponent = exponent.astype(np.int64)
     first = digits // 10**16
@@ -247,50 +247,35 @@ def _row_numbers(start: int, count: int, width: int) -> np.ndarray:
 def _write_csv(probs, out_path: str | None) -> None:
     """Write the ``y,prob`` CSV, each probability printed as ``%.17g`` prints it.
 
-    The distinct values (by bit pattern, so 0.0 and -0.0 keep their own
-    text) get their digits from ``_significands`` FORMAT_BATCH at a time;
-    the few it is not certain of are formatted by ``format`` instead.
     Rows go out CSV_CHUNK at a time as one byte matrix, the row number's
-    words and then the value's cell, with the gaps dropped.
+    words and then the value's cell, with the gaps dropped.  A row's cell
+    is spelled from the digits ``_significands`` gives its value.  The rows
+    it is not certain of are formatted by ``format`` instead, once per run
+    of equal bit patterns among them: 0.0 and -0.0 keep their own text,
+    and the zeros between the peaks of a power-of-two period cost one call
+    per run.  Memory is one chunk and its temporaries, whatever the length
+    of ``probs``.
     """
-    bits = np.ascontiguousarray(probs, dtype=np.float64).view(np.int64)
-    # Sort and mask rather than np.unique, which hashes in numpy 2 and is
-    # over ten times slower on a million values.
-    distinct = np.sort(bits)
-    first = np.ones(distinct.size, dtype=bool)
-    first[1:] = distinct[1:] != distinct[:-1]
-    distinct = distinct[first]
-    del first
-    # Per distinct value: D and E, or for a value formatted exactly
-    # (D < 10**16) the index of its cell in `formatted`.
-    digits = np.empty(distinct.size, dtype=np.int64)
-    exponent = np.empty(distinct.size, dtype=np.int16)
-    formatted = []
-    for start in range(0, distinct.size, FORMAT_BATCH):
-        values = distinct[start : start + FORMAT_BATCH].view(np.float64)
-        batch_digits, batch_exponent = _significands(values)
-        for i in np.flatnonzero(batch_digits < 0).tolist():
-            batch_digits[i], batch_exponent[i] = len(formatted), -1
-            text = b"," + format(values[i], ".17g").encode("ascii")
-            formatted.append(text.ljust(31, b"\0") + b"\n")
-        digits[start : start + values.size] = batch_digits
-        exponent[start : start + values.size] = batch_exponent
-    formatted = _words(formatted).reshape(-1, 8)
-    width = -(-len(str(max(bits.size - 1, 0))) // 4)
+    values = np.ascontiguousarray(probs, dtype=np.float64)
+    width = -(-len(str(max(values.size - 1, 0))) // 4)
     row = np.dtype([("y", np.uint32, (width,)), ("cell", np.uint32, (8,))])
-    rows = np.empty(min(bits.size, CSV_CHUNK), dtype=row)
+    rows = np.empty(min(values.size, CSV_CHUNK), dtype=row)
     with open(out_path, "wb") if out_path else contextlib.nullcontext() as handle:
         write = handle.write if handle else lambda data: sys.stdout.write(data.decode("ascii"))
         write(b"y,prob\n")
-        for start in range(0, bits.size, CSV_CHUNK):
-            chunk = rows[: min(CSV_CHUNK, bits.size - start)]
-            where = np.searchsorted(distinct, bits[start : start + chunk.size])
-            row_digits = digits[where]
-            cells = _cells(row_digits, exponent[where])
-            exact = np.flatnonzero(row_digits < 10**16)
-            cells[exact] = formatted[row_digits[exact]]
+        for start in range(0, values.size, CSV_CHUNK):
+            chunk = rows[: min(CSV_CHUNK, values.size - start)]
+            part = values[start : start + chunk.size]
+            digits, exponent = _significands(part)
+            chunk["cell"] = _cells(digits, exponent)
+            unsure = np.flatnonzero(digits < 0)
+            bits = part.view(np.int64)[unsure]
+            first = np.ones(bits.size, dtype=bool)
+            first[1:] = bits[1:] != bits[:-1]
+            texts = (format(v, ".17g").encode("ascii") for v in part[unsure[first]].tolist())
+            formatted = _words((b"," + t).ljust(31, b"\0") + b"\n" for t in texts)
+            chunk["cell"][unsure] = formatted.reshape(-1, 8)[np.cumsum(first) - 1]
             chunk["y"] = _row_numbers(start, chunk.size, width)
-            chunk["cell"] = cells
             write(chunk.tobytes().translate(None, b"\0"))
 
 
@@ -368,9 +353,14 @@ def cmd_distribution(args) -> int:
     f = engine.ModExpFunction(args.m, args.N)
     if not args.simulate:
         period = numtheory.multiplicative_order(args.m, args.N)
-        closed = engine.closed_form_distribution(engine.closed_form_params(period, geometry.Q))
+        params = engine.closed_form_params(period, geometry.Q)
+    # The circuit runs first: it checks its budget before allocating, and
+    # the closed form's sin^2 table can take gigabytes past that budget.
+    if args.simulate or args.compare:
+        probs = simulated = engine.simulated_distribution(geometry, f).probs
+    if not args.simulate:
+        probs = closed = engine.closed_form_distribution(params).probs
     if args.compare:
-        simulated = engine.simulated_distribution(geometry, f)
         payload = {
             "manifest": _manifest(
                 "distribution", {"N": args.N, "m": args.m, "mode": "compare"}
@@ -379,16 +369,12 @@ def cmd_distribution(args) -> int:
             "m": args.m,
             "P": period,
             "Q": geometry.Q,
-            "max_abs_discrepancy": float(np.max(np.abs(simulated.probs - closed.probs))),
-            "closed_form_sum": float(closed.probs.sum()),
-            "simulated_sum": float(simulated.probs.sum()),
+            "max_abs_discrepancy": float(np.max(np.abs(simulated - closed))),
+            "closed_form_sum": float(closed.sum()),
+            "simulated_sum": float(simulated.sum()),
         }
         _print_json(payload)
         return EXIT_OK
-    if args.simulate:
-        probs = engine.simulated_distribution(geometry, f).probs
-    else:
-        probs = closed.probs
     _write_csv(probs, args.out)
     return EXIT_OK
 

@@ -148,7 +148,12 @@ class OutcomeDistribution:
 
 @dataclass(frozen=True)
 class ClosedFormParams:
-    """Decomposition Q = P*q + r with 0 <= r < P, and Q0 = P*q."""
+    """Decomposition Q = P*q + r with 0 <= r < P, and Q0 = P*q.
+
+    Q must lie within the vectorized closed form's budget: its int64
+    residues multiply two values below Q, exact only while Q <= 2**31.
+    The check runs when the parameters are made, before any array exists.
+    """
 
     P: int
     Q: int
@@ -156,13 +161,20 @@ class ClosedFormParams:
     r: int
     Q0: int
 
+    def __post_init__(self) -> None:
+        if self.Q > CLOSED_FORM_MAX_Q:
+            raise CapacityError(
+                f"register size {self.Q} exceeds the closed-form budget Q <= 2**31 "
+                "(its int64 residues are exact only up to there)"
+            )
 
-def choose_geometry(n: int, max_n: int = DEFAULT_MAX_N) -> RegisterGeometry:
+
+def choose_geometry(n: int) -> RegisterGeometry:
     """The unique (Q, L) with Q = 2**L and n^2 <= Q < 2n^2."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    if n > max_n:
-        raise CapacityError(f"modulus {n} exceeds the desk-scale cap {max_n}")
+    if n > DEFAULT_MAX_N:
+        raise CapacityError(f"modulus {n} exceeds the desk-scale cap {DEFAULT_MAX_N}")
     L = (n * n - 1).bit_length()
     Q = 1 << L
     return RegisterGeometry(N=n, Q=Q, L=L)
@@ -181,8 +193,21 @@ def _probabilities(rows: np.ndarray) -> np.ndarray:
     return rows.real**2 + rows.imag**2
 
 
+def _check_circuit_budget(rows: int, q_total: int) -> None:
+    if rows * q_total > CIRCUIT_MAX_AMPLITUDES:
+        raise CapacityError(
+            f"the circuit needs {rows} register-2 rows of Q={q_total} "
+            f"amplitudes, past the budget of 2**26 = {CIRCUIT_MAX_AMPLITUDES} amplitudes"
+        )
+
+
 def initialize(geometry: RegisterGeometry) -> JointState:
-    """Both registers in |0>: one row, register-2 value 0, unit amplitude at x = 0."""
+    """Both registers in |0>: one row, register-2 value 0, unit amplitude at x = 0.
+
+    Raises CapacityError, before the row is allocated, when Q alone is past
+    CIRCUIT_MAX_AMPLITUDES.
+    """
+    _check_circuit_budget(1, geometry.Q)
     rows = np.zeros((1, geometry.Q), dtype=np.complex128)
     rows[0, 0] = 1.0
     return JointState(geometry, np.zeros(1, dtype=np.int64), rows)
@@ -216,11 +241,7 @@ def apply_modexp_entangler(state: JointState, f: ModExpFunction) -> JointState:
     row, x = np.nonzero(state.rows)
     targets = (f.table(state.geometry.Q)[x] - state.levels[row]) % n
     levels, target_row = np.unique(targets, return_inverse=True)
-    if levels.size * state.geometry.Q > CIRCUIT_MAX_AMPLITUDES:
-        raise CapacityError(
-            f"the circuit needs {levels.size} register-2 rows of Q={state.geometry.Q} "
-            f"amplitudes, past the budget of 2**26 = {CIRCUIT_MAX_AMPLITUDES} amplitudes"
-        )
+    _check_circuit_budget(levels.size, state.geometry.Q)
     rows = np.zeros((levels.size, state.geometry.Q), dtype=np.complex128)
     rows[target_row, x] = state.rows[row, x]
     return JointState(state.geometry, levels, rows)
@@ -347,17 +368,11 @@ def closed_form_distribution(params: ClosedFormParams) -> OutcomeDistribution:
     the scalar route reduces to its smallest-magnitude residue, so
     |k| <= Q/2 and, sin^2 being even, one table over k = 0..Q/2 serves
     them all.  The residues are exact while a product of two values below
-    Q fits in int64, hence the budget Q <= CLOSED_FORM_MAX_Q, checked
-    before anything is allocated.  The outcomes are taken SIN2_BATCH at a
-    time and written straight into the result, so the temporaries stay
-    small.
+    Q fits in int64, which ``ClosedFormParams`` guarantees.  The outcomes
+    are taken SIN2_BATCH at a time and written straight into the result,
+    so the temporaries stay small.
     """
     P, Q, q, r, Q0 = params.P, params.Q, params.q, params.r, params.Q0
-    if Q > CLOSED_FORM_MAX_Q:
-        raise CapacityError(
-            f"register size {Q} exceeds the closed-form budget Q <= 2**31 "
-            "(its int64 residues are exact only up to there)"
-        )
     sin2 = _sin2_table(Q)
 
     def sin2_at(residue: np.ndarray) -> np.ndarray:

@@ -25,10 +25,6 @@ import numpy as np
 
 from . import contfrac, engine, numtheory
 
-# Euler's constant and e**-gamma, used by the asymptotic success bound.
-EULER_GAMMA = 0.57721566490153286061
-E_MINUS_GAMMA = 0.5614594836
-
 # Miller-Rabin rounds of the primality precondition.  A composite verdict
 # is certain; a probable-prime verdict carries the error bound 2**-20.
 MILLER_RABIN_ROUNDS = 20
@@ -156,16 +152,6 @@ class FactorizationTrace:
 def d_from_y(period: int, q_total: int, y: int) -> int:
     """d(y) = round(P*y/Q), the frequency index nearest to y's scaled position."""
     return numtheory.nearest_int(period * y, q_total)
-
-
-def bijection_set(period: int, q_total: int) -> list[int]:
-    """The outcomes y with |{P*y}_Q| <= P/2; exactly P of them, one per d."""
-    half = period / 2.0
-    return [
-        y
-        for y in range(q_total)
-        if abs(numtheory.smallest_magnitude_residue(period * y, q_total)) <= half
-    ]
 
 
 def step1_choose_m(n: int, rng: np.random.Generator) -> tuple[int, int]:

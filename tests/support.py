@@ -23,9 +23,15 @@ from shorlab.engine import (
     choose_geometry,
     initialize,
 )
+from shorlab.numtheory import smallest_magnitude_residue
 
 # The (N, m) pairs every distribution-level check sweeps.
 PAIRS = [(15, 2), (15, 7), (21, 2), (35, 2), (91, 3)]
+
+# Euler's constant and e**-gamma, the liminf that pipeline.LB_TABLE's
+# tabulated floors approach from below.
+EULER_GAMMA = 0.57721566490153286061
+E_MINUS_GAMMA = 0.5614594836
 
 
 def naive_mod_pow(base: int, exponent: int, modulus: int) -> int:
@@ -112,6 +118,16 @@ def distinct_prime_factors(n: int) -> set[int]:
 def y_from_d(period: int, q_total: int, d: int) -> int:
     """y(d) = round(Q*d/P), ties downward: the inverse of d_from_y on the bijection set."""
     return -((period - 2 * q_total * d) // (2 * period))
+
+
+def bijection_set(period: int, q_total: int) -> list[int]:
+    """The outcomes y with |{P*y}_Q| <= P/2; exactly P of them, one per d."""
+    half = period / 2.0
+    return [
+        y
+        for y in range(q_total)
+        if abs(smallest_magnitude_residue(period * y, q_total)) <= half
+    ]
 
 
 def state_norm(state) -> float:

@@ -29,7 +29,7 @@ from shorlab.numtheory import (
     multiplicative_order,
     smallest_magnitude_residue,
 )
-from shorlab.pipeline import LB_TABLE, bijection_set, d_from_y
+from shorlab.pipeline import LB_TABLE, d_from_y
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -182,7 +182,7 @@ def test_criterion_06_probability_floor_and_aggregate_bound(capsys):
                 ok = ok and closed_form_prob(y, params) >= floor - 1e-15
         aggregate = sum(
             closed_form_prob(y, params)
-            for y in bijection_set(period, geometry.Q)
+            for y in support.bijection_set(period, geometry.Q)
             if math.gcd(d_from_y(period, geometry.Q, y), period) == 1
         )
         ok = ok and aggregate >= pipeline.success_lower_bound(period, n) - 1e-15
@@ -195,7 +195,7 @@ def test_criterion_07_rounding_bijection(capsys):
     for n, m in support.PAIRS:
         geometry = choose_geometry(n)
         period = multiplicative_order(m, n)
-        members = bijection_set(period, geometry.Q)
+        members = support.bijection_set(period, geometry.Q)
         ok = ok and len(members) == period
         seen = set()
         for y in members:

@@ -201,21 +201,32 @@ def test_closed_form_csv_traced_peaks_at_q_2_20(tmp_path):
     finally:
         tracemalloc.stop()
     assert closed_form_peak < 20 << 20
-    assert csv_peak < 28 << 20
+    assert csv_peak < 16 << 20
 
 
 def test_simulation_over_circuit_budget_is_rejected_before_allocating():
-    # N = 1003, m = 2 needs 232 rows of Q = 2**20 amplitudes: 3.9 GB.  The
-    # child may map at most 2 GiB, so without the check it dies with a
-    # MemoryError instead of taking the machine's memory.
+    # N = 1003, m = 2 needs 232 rows of Q = 2**20 amplitudes: 3.9 GB.  N =
+    # 8193 needs Q = 2**27, where one row of the circuit (2 GiB) is already
+    # past the budget.  The child may map at most 2 GiB, so without the
+    # checks each case dies with a MemoryError instead of taking the
+    # machine's memory.
+    cases = [
+        ["distribution", "1003", "2", "--simulate"],
+        ["distribution", "8193", "2", "--simulate"],
+        ["distribution", "8193", "2", "--compare"],
+        ["factor", "8193", "--forced-m", "2"],
+        ["montecarlo", "8193", "2", "10"],
+    ]
     script = textwrap.dedent(
         """
-        import resource, tracemalloc
+        import json, resource, sys, tracemalloc
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
         from shorlab import cli
-        tracemalloc.start()
-        code = cli.main(["distribution", "1003", "2", "--simulate"])
-        print(code, tracemalloc.get_traced_memory()[1])
+        for argv in json.loads(sys.argv[1]):
+            tracemalloc.start()
+            code = cli.main(argv)
+            print(code, tracemalloc.get_traced_memory()[1], flush=True)
+            tracemalloc.stop()
         """
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -224,15 +235,25 @@ def test_simulation_over_circuit_budget_is_rejected_before_allocating():
     # count against the limit on a machine with many cores.
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", script, json.dumps(cases)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    code, peak = map(int, done.stdout.split())
-    assert code == 2
-    assert "232 register-2 rows" in done.stderr and "2**26" in done.stderr
+    results = [tuple(map(int, line.split())) for line in done.stdout.splitlines()]
+    errors = done.stderr.splitlines()
+    assert [code for code, _ in results] == [2] * len(cases)
+    assert len(errors) == len(cases)
+    assert all("2**26" in line for line in errors)
+    assert "232 register-2 rows" in errors[0]
     # The register-1 transform of |0> and the entangler's index arrays at
     # Q = 2**20 take about 80 MiB; the rejected rows would take 3.6 GiB.
-    assert peak < 128 << 20
+    assert results[0][1] < 128 << 20
+    # At Q = 2**27 nothing of register size (a bool array would be 128 MiB)
+    # exists before the check; the peaks are first-use imports and caches.
+    assert all(peak < 4 << 20 for _, peak in results[1:])
 
 
 @pytest.mark.parametrize("mode", ["--closed-form", "--compare"])

@@ -20,7 +20,6 @@ from shorlab.pipeline import (
     OutcomeKind,
     PreconditionError,
     ShorConfig,
-    bijection_set,
     d_from_y,
     monte_carlo_step2,
     shor_factor,
@@ -274,7 +273,7 @@ def test_bijection_lemma_exhaustive():
     for n, m in support.PAIRS:
         geometry = choose_geometry(n)
         period = multiplicative_order(m, n)
-        members = bijection_set(period, geometry.Q)
+        members = support.bijection_set(period, geometry.Q)
         assert len(members) == period
         images = set()
         for y in members:
@@ -296,7 +295,7 @@ def test_convergent_membership_over_bijection_set():
     for n, m in support.PAIRS:
         geometry = choose_geometry(n)
         period = multiplicative_order(m, n)
-        for y in bijection_set(period, geometry.Q):
+        for y in support.bijection_set(period, geometry.Q):
             d = d_from_y(period, geometry.Q, y)
             g = math.gcd(d, period) if d else period
             assert support.is_convergent(d // g, period // g, y, geometry.Q), (n, m, y)
@@ -309,7 +308,7 @@ def test_aggregate_probability_bound():
         params = closed_form_params(period, geometry.Q)
         total = sum(
             closed_form_prob(y, params)
-            for y in bijection_set(period, geometry.Q)
+            for y in support.bijection_set(period, geometry.Q)
             if math.gcd(d_from_y(period, geometry.Q, y), period) == 1
         )
         assert total >= success_lower_bound(period, n), (n, m, total)
@@ -327,9 +326,9 @@ def test_lb_table_consistent_with_asymptotic_constant():
     # the tabulated floors approach e^-gamma from below as the period grows
     values = [pipeline.LB_TABLE[p] for p in sorted(pipeline.LB_TABLE)]
     assert values == sorted(values)
-    assert all(v < pipeline.E_MINUS_GAMMA for v in values)
-    assert abs(pipeline.EULER_GAMMA - 0.5772156649) < 1e-10
-    assert abs(math.exp(-pipeline.EULER_GAMMA) - pipeline.E_MINUS_GAMMA) < 1e-10
+    assert all(v < support.E_MINUS_GAMMA for v in values)
+    assert abs(support.EULER_GAMMA - 0.5772156649) < 1e-10
+    assert abs(math.exp(-support.EULER_GAMMA) - support.E_MINUS_GAMMA) < 1e-10
 
 
 def test_wilson_interval_sanity():
