@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import decimal
 import functools
 import json
@@ -85,9 +86,12 @@ def _seed(text: str) -> int:
     return value
 
 
-def _manifest(command: str, config: dict) -> dict:
+def _manifest(args, config: dict | None = None) -> dict:
+    """The run's manifest; its config is the parsed arguments unless given."""
+    if config is None:
+        config = {k: v for k, v in vars(args).items() if k != "command"}
     return {
-        "command": command,
+        "command": args.command,
         "config": config,
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
@@ -274,7 +278,7 @@ def _write_csv(probs, out_path: str | None) -> None:
             first[1:] = bits[1:] != bits[:-1]
             texts = (format(v, ".17g").encode("ascii") for v in part[unsure[first]].tolist())
             formatted = _words((b"," + t).ljust(31, b"\0") + b"\n" for t in texts)
-            chunk["cell"][unsure] = formatted.reshape(-1, 8)[np.cumsum(first) - 1]
+            chunk["cell"].view("V32")[unsure, 0] = formatted.view("V32")[np.cumsum(first) - 1]
             chunk["y"] = _row_numbers(start, chunk.size, width)
             write(chunk.tobytes().translate(None, b"\0"))
 
@@ -291,7 +295,6 @@ def build_parser() -> _Parser:
     p_factor.add_argument("--retries", type=_positive_int, default=100)
     p_factor.add_argument("--forced-m", type=int, default=None)
     p_factor.add_argument("--forced-y", type=int, default=None)
-    p_factor.add_argument("--q-override", type=int, default=None)
 
     p_dist = sub.add_parser("distribution", help="measurement distribution as CSV")
     p_dist.add_argument("N", type=int)
@@ -329,23 +332,12 @@ def cmd_factor(args) -> int:
         max_outer_retries=args.retries,
         forced_m=args.forced_m,
         forced_y=args.forced_y,
-        q_override=args.q_override,
     )
-    config_echo = {
-        "N": args.N,
-        "seed": args.seed,
-        "retries": args.retries,
-        "forced_m": args.forced_m,
-        "forced_y": args.forced_y,
-        "q_override": args.q_override,
-    }
     outcome, trace = pipeline.shor_factor(args.N, config)
-    manifest = _manifest("factor", config_echo)
+    manifest = _manifest(args)
     manifest["elapsed_s"] = trace.elapsed_s  # volatile, like timestamp_utc
     _print_json({"manifest": manifest, "trace": trace.to_dict()})
-    if outcome.kind in (pipeline.OutcomeKind.FACTOR_FOUND, pipeline.OutcomeKind.LUCKY_GCD):
-        return EXIT_OK
-    return EXIT_EXHAUSTED
+    return EXIT_OK if outcome.factor is not None else EXIT_EXHAUSTED
 
 
 def cmd_distribution(args) -> int:
@@ -362,9 +354,7 @@ def cmd_distribution(args) -> int:
         probs = closed = engine.closed_form_distribution(params).probs
     if args.compare:
         payload = {
-            "manifest": _manifest(
-                "distribution", {"N": args.N, "m": args.m, "mode": "compare"}
-            ),
+            "manifest": _manifest(args, {"N": args.N, "m": args.m, "mode": "compare"}),
             "N": args.N,
             "m": args.m,
             "P": period,
@@ -393,29 +383,7 @@ def cmd_montecarlo(args) -> int:
     result = pipeline.monte_carlo_step2(
         args.N, args.m, args.trials, args.seed, forced_y=args.forced_y
     )
-    payload = {
-        "manifest": _manifest(
-            "montecarlo",
-            {
-                "N": args.N,
-                "m": args.m,
-                "trials": args.trials,
-                "seed": args.seed,
-                "forced_y": args.forced_y,
-            },
-        ),
-        "N": result.n,
-        "m": result.m,
-        "P": result.period,
-        "trials": result.trials,
-        "successes": result.successes,
-        "success_fraction": result.success_fraction,
-        "wilson_95": [result.wilson_low, result.wilson_high],
-        "success_lower_bound": result.success_lower_bound,
-        "asymptotic_bound": result.asymptotic_bound,
-        "histogram": result.histogram,
-    }
-    _print_json(payload)
+    _print_json({"manifest": _manifest(args), **dataclasses.asdict(result)})
     return EXIT_OK
 
 
@@ -446,9 +414,9 @@ def _replicate_fields(perturb: bool) -> list[dict]:
     expansion = contfrac.cf_expand(expected["y"], trace.Q)
     params = engine.closed_form_params(expected["period"], trace.Q)
     prob_closed = engine.closed_form_prob(expected["y"], params)
-    geometry = engine.geometry_for(expected["N"], trace.Q)
     simulated = engine.simulated_distribution(
-        geometry, engine.ModExpFunction(expected["m"], expected["N"])
+        engine.choose_geometry(expected["N"]),
+        engine.ModExpFunction(expected["m"], expected["N"]),
     )
     prob_simulated = float(simulated.probs[expected["y"]])
     d_y = pipeline.d_from_y(expected["period"], expected["Q"], expected["y"])
@@ -490,7 +458,7 @@ def cmd_replicate(args) -> int:
     elapsed = time.perf_counter() - started
     all_ok = all(f["ok"] for f in fields)
     if args.as_json:
-        manifest = _manifest("replicate", {"perturb": args.perturb})
+        manifest = _manifest(args, {"perturb": args.perturb})
         manifest["elapsed_s"] = elapsed
         _print_json({"manifest": manifest, "pass": all_ok, "fields": fields})
     else:

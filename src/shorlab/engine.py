@@ -180,15 +180,6 @@ def choose_geometry(n: int) -> RegisterGeometry:
     return RegisterGeometry(N=n, Q=Q, L=L)
 
 
-def geometry_for(n: int, q: int) -> RegisterGeometry:
-    """Geometry with an explicit register size; q must be an admissible power of 2."""
-    if q < 1 or q & (q - 1):
-        raise ValueError(f"register size {q} is not a power of 2")
-    if not n * n <= q < 2 * n * n:
-        raise ValueError(f"register size {q} violates N^2 <= Q < 2N^2 for N={n}")
-    return RegisterGeometry(N=n, Q=q, L=q.bit_length() - 1)
-
-
 def _probabilities(rows: np.ndarray) -> np.ndarray:
     return rows.real**2 + rows.imag**2
 

@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -76,7 +76,6 @@ class ShorConfig:
     max_outer_retries: int = 100
     forced_m: int | None = None
     forced_y: int | None = None
-    q_override: int | None = None
 
 
 @dataclass(frozen=True)
@@ -124,29 +123,11 @@ class FactorizationTrace:
         return len(self.attempts) - (1 if succeeded else 0)
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "Q": self.Q,
-            "L": self.L,
-            "m": self.m,
-            "retries": self.retries,
-            "outcome": {
-                "kind": self.outcome.kind.value if self.outcome else None,
-                "factor": self.outcome.factor if self.outcome else None,
-            },
-            "attempts": [
-                {
-                    "m": a.m,
-                    "gcd_m_n": a.gcd_m_n,
-                    "y": a.y,
-                    "convergent_tests": [list(t) for t in a.convergent_tests],
-                    "period": a.period,
-                    "outcome_kind": a.outcome_kind.value,
-                    "y_in_bijection_set": a.y_in_bijection_set,
-                }
-                for a in self.attempts
-            ],
-        }
+        """The trace as JSON-ready data: its fields but the clock, plus m and retries."""
+        data = asdict(self)
+        del data["elapsed_s"]
+        data["outcome"] = data["outcome"] or {"kind": None, "factor": None}
+        return {**data, "m": self.m, "retries": self.retries}
 
 
 def d_from_y(period: int, q_total: int, y: int) -> int:
@@ -225,7 +206,6 @@ def shor_factor(n: int, config: ShorConfig | None = None) -> tuple[StepOutcome, 
     forced_m / forced_y config fields replay a specific run (the forced
     base must lie in step 1's range [2, N-1] and the forced outcome must
     have nonzero probability); with both forced the run makes one attempt.
-    q_override substitutes an admissible register size for the default one.
     """
     config = config or ShorConfig()
     started = time.perf_counter()
@@ -233,10 +213,7 @@ def shor_factor(n: int, config: ShorConfig | None = None) -> tuple[StepOutcome, 
     _check_preconditions(n, rng)
     if config.forced_m is not None and not 2 <= config.forced_m < n:
         raise ValueError(f"forced base {config.forced_m} is outside step 1's range [2, {n - 1}]")
-    if config.q_override is not None:
-        geometry = engine.geometry_for(n, config.q_override)
-    else:
-        geometry = engine.choose_geometry(n)
+    geometry = engine.choose_geometry(n)
     trace = FactorizationTrace(N=n, Q=geometry.Q, L=geometry.L)
     outcome = StepOutcome(OutcomeKind.PERIOD_RECOVERY_FAILED)
     # The circuit is deterministic in (geometry, m): an attempt that draws
@@ -300,24 +277,18 @@ def success_lower_bound(period: int, n: int) -> float:
     return 4.0 / math.pi**2 * (phi / period) * (1.0 - 1.0 / n) ** 2
 
 
-def asymptotic_success_bound(n: int, period: int | None = None) -> dict:
+def asymptotic_success_bound(n: int, period: int) -> dict:
     """The 0.232/lglg(N) floor, with the tabulated fallback for tiny periods.
 
-    The 0.232 constant presumes the period exceeds 3.  When a recovered
-    period <= 3 is supplied, the tabulated LB row for that period is
-    surfaced instead (scaled by the same 4/(pi^2 ln 2) prefactor).
+    The 0.232 constant presumes the period exceeds 3.  For a period <= 3
+    the tabulated LB row for that period is surfaced instead (scaled by
+    the same 4/(pi^2 ln 2) prefactor).
     """
+    if period <= 3:
+        return {"value": lb_table_bound(period, n), "kind": "lb_table", "period_above_3": False}
     lglg = math.log2(math.log2(n))
-    damping = (1.0 - 1.0 / n) ** 2
-    value = 0.232 / lglg * damping
-    result = {"value": value, "kind": "0.232/lglgN", "period_above_3": None}
-    if period is not None:
-        result["period_above_3"] = period > 3
-        if period <= 3:
-            row = lb_table_bound(period, n)
-            result["kind"] = "lb_table"
-            result["value"] = row
-    return result
+    value = 0.232 / lglg * (1.0 - 1.0 / n) ** 2
+    return {"value": value, "kind": "0.232/lglgN", "period_above_3": True}
 
 
 def lb_table_bound(period: int, n: int) -> float | None:
@@ -344,14 +315,15 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 
 @dataclass
 class MonteCarloResult:
-    n: int
+    """Summary of a Monte Carlo run; the field names are its JSON keys."""
+
+    N: int
     m: int
     trials: int
-    period: int
+    P: int
     successes: int
     success_fraction: float
-    wilson_low: float
-    wilson_high: float
+    wilson_95: tuple[float, float]
     histogram: dict[str, int]
     success_lower_bound: float
     asymptotic_bound: dict
@@ -439,16 +411,14 @@ def monte_carlo_step2(
         else:
             histogram["unrecovered"] += count
     successes = histogram["recovered_order"]
-    low, high = wilson_interval(successes, trials)
     return MonteCarloResult(
-        n=n,
+        N=n,
         m=m,
         trials=trials,
-        period=period,
+        P=period,
         successes=successes,
         success_fraction=successes / trials,
-        wilson_low=low,
-        wilson_high=high,
+        wilson_95=wilson_interval(successes, trials),
         histogram=histogram,
         success_lower_bound=success_lower_bound(period, n),
         asymptotic_bound=asymptotic_success_bound(n, period),

@@ -216,13 +216,13 @@ def test_criterion_08_monte_carlo_beats_floor(capsys):
     result = pipeline.monte_carlo_step2(91, 3, 10**5, seed=20260808)
     elapsed = time.perf_counter() - started
     floor = 0.084
-    ok = result.wilson_low > floor and elapsed < 300.0
+    ok = result.wilson_95[0] > floor and elapsed < 300.0
     with capsys.disabled():
         report(
             8,
             "100k seeded trials: Wilson 95% lower limit beats the 8.4% floor, < 5 min",
             ok,
-            f"fraction={result.success_fraction:.4f}, wilson_low={result.wilson_low:.4f}, "
+            f"fraction={result.success_fraction:.4f}, wilson_low={result.wilson_95[0]:.4f}, "
             f"elapsed={elapsed:.0f}s",
         )
 

@@ -95,6 +95,10 @@ def test_factor_usage_errors(capsys):
         cli.main([])
     assert excinfo.value.code == 64
     capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["factor", "91", "--q-override", "16384"])
+    assert excinfo.value.code == 64
+    capsys.readouterr()
 
 
 def test_factor_identical_seeds_identical_json(capsys):
@@ -372,6 +376,103 @@ def test_replicate_json_and_perturbation(capsys):
     assert payload["pass"] is False
     broken = {f["field"] for f in payload["fields"] if not f["ok"]}
     assert "factor" in broken
+
+
+def key_paths(node, path: str = "") -> set[str]:
+    """Every dict key in a JSON document as a dotted path; lists are transparent."""
+    paths = set()
+    if isinstance(node, dict):
+        for key, value in node.items():
+            paths |= {path + key} | key_paths(value, f"{path}{key}.")
+    elif isinstance(node, list):
+        for item in node:
+            paths |= key_paths(item, path)
+    return paths
+
+
+MANIFEST_KEYS = {
+    "manifest",
+    "manifest.command",
+    "manifest.config",
+    "manifest.schema_version",
+    "manifest.timestamp_utc",
+    "manifest.version",
+}
+
+
+# The JSON is built from the result dataclasses, so a new field shows here.
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (
+            ("factor", "91", "--seed", "12345"),
+            {
+                *("manifest.config." + k for k in ("N", "forced_m", "forced_y", "retries", "seed")),
+                "manifest.elapsed_s",
+                "trace",
+                *("trace." + k for k in ("L", "N", "Q", "m", "retries", "attempts", "outcome")),
+                *("trace.outcome." + k for k in ("factor", "kind")),
+                *(
+                    "trace.attempts." + k
+                    for k in (
+                        "convergent_tests",
+                        "gcd_m_n",
+                        "m",
+                        "outcome_kind",
+                        "period",
+                        "y",
+                        "y_in_bijection_set",
+                    )
+                ),
+            },
+        ),
+        (
+            ("montecarlo", "15", "2", "1000", "--seed", "7"),
+            {
+                *("manifest.config." + k for k in ("N", "m", "trials", "seed", "forced_y")),
+                "N",
+                "m",
+                "P",
+                "trials",
+                "successes",
+                "success_fraction",
+                "wilson_95",
+                "success_lower_bound",
+                "asymptotic_bound",
+                *("asymptotic_bound." + k for k in ("kind", "period_above_3", "value")),
+                "histogram",
+                *("histogram." + k for k in ("recovered_order", "recovered_multiple", "unrecovered")),
+            },
+        ),
+        (
+            ("replicate", "--json"),
+            {
+                "manifest.config.perturb",
+                "manifest.elapsed_s",
+                "pass",
+                "fields",
+                *("fields." + k for k in ("actual", "expected", "field", "ok")),
+            },
+        ),
+        (
+            ("distribution", "15", "2", "--compare"),
+            {
+                *("manifest.config." + k for k in ("N", "m", "mode")),
+                "N",
+                "m",
+                "P",
+                "Q",
+                "max_abs_discrepancy",
+                "closed_form_sum",
+                "simulated_sum",
+            },
+        ),
+    ],
+)
+def test_json_key_trees(capsys, argv, keys):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert key_paths(json.loads(out)) == MANIFEST_KEYS | keys
 
 
 @pytest.mark.parametrize("argv", [("factor", "15"), ("montecarlo", "15", "2", "10")])

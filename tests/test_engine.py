@@ -58,14 +58,6 @@ def test_choose_geometry_invariant_and_capacity():
         choose_geometry(1)
 
 
-def test_geometry_for_validates():
-    assert engine.geometry_for(91, 16384).L == 14
-    with pytest.raises(ValueError):
-        engine.geometry_for(91, 8192)  # below N^2
-    with pytest.raises(ValueError):
-        engine.geometry_for(91, 12288)  # not a power of 2
-
-
 def test_initialize_is_point_mass():
     state = initialize(choose_geometry(91))
     assert support.nonzero_amplitudes(state) == {(0, 0): 1.0 + 0.0j}

@@ -169,15 +169,6 @@ def test_shor_factor_rejects_forced_base_outside_step1_range(m):
         shor_factor(91, ShorConfig(forced_m=m))
 
 
-def test_shor_factor_q_override():
-    outcome, trace = shor_factor(
-        91, ShorConfig(forced_m=3, forced_y=13453, q_override=16384)
-    )
-    assert outcome.factor == 13
-    with pytest.raises(ValueError):
-        shor_factor(91, ShorConfig(q_override=8192))
-
-
 def test_shor_factor_retries_exhausted():
     # forced y = 0 never recovers a period, so every retry burns out; the
     # bases are drawn (this seed draws three units), so no attempt repeats
@@ -258,7 +249,7 @@ def test_success_lower_bound_values():
 
 
 def test_asymptotic_bound_values():
-    bound = pipeline.asymptotic_success_bound(91)
+    bound = pipeline.asymptotic_success_bound(91, period=6)
     assert abs(bound["value"] - 0.084) < 5e-4
     assert bound["kind"] == "0.232/lglgN"
     small = pipeline.asymptotic_success_bound(91, period=3)
@@ -344,9 +335,9 @@ def test_monte_carlo_small_case_beats_bound():
     sigma = math.sqrt(result.success_fraction * (1 - result.success_fraction) / trials)
     assert result.success_fraction >= result.success_lower_bound - 3 * sigma
     assert result.success_lower_bound == pytest.approx(0.1765, abs=1e-4)
-    assert result.period == 4
+    assert result.P == 4
     assert sum(result.histogram.values()) == trials
-    assert result.wilson_low <= result.success_fraction <= result.wilson_high
+    assert result.wilson_95[0] <= result.success_fraction <= result.wilson_95[1]
 
 
 def test_monte_carlo_reproducible_and_forced():
