@@ -59,7 +59,6 @@ EXAMPLE = {
     "accepted_candidate": (3, 6, 1),  # q_3 = 6 succeeds: 3**6 = 1 mod 91
     "period": 6,
     "half_power": 27,  # 3**(P/2) mod 91
-    "gcd_args": (26, 91),
     "factor": 13,
 }
 
@@ -314,15 +313,9 @@ def build_parser() -> _Parser:
     p_mc.add_argument("m", type=int)
     p_mc.add_argument("trials", type=_positive_int)
     p_mc.add_argument("--seed", type=_seed, default=0, help="64-bit RNG seed")
-    p_mc.add_argument("--forced-y", type=int, default=None)
 
     p_rep = sub.add_parser("replicate", help="re-run the embedded N=91 worked example")
     p_rep.add_argument("--json", action="store_true", dest="as_json")
-    p_rep.add_argument(
-        "--perturb",
-        action="store_true",
-        help="test hook: corrupt one expected value to force a mismatch",
-    )
     return parser
 
 
@@ -380,9 +373,7 @@ def cmd_cf(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    result = pipeline.monte_carlo_step2(
-        args.N, args.m, args.trials, args.seed, forced_y=args.forced_y
-    )
+    result = pipeline.monte_carlo_step2(args.N, args.m, args.trials, args.seed)
     _print_json({"manifest": _manifest(args), **dataclasses.asdict(result)})
     return EXIT_OK
 
@@ -400,28 +391,24 @@ def _truncate_sig(value: float, digits: int) -> str:
     return f"{mantissa}e{kept.adjusted():+03d}"
 
 
-def _replicate_fields(perturb: bool) -> list[dict]:
+def _replicate_fields() -> list[dict]:
     """Run the worked example and diff every embedded value."""
-    expected = dict(EXAMPLE)
-    if perturb:
-        expected["factor"] = expected["factor"] + 1
-
-    config = pipeline.ShorConfig(forced_m=expected["m"], forced_y=expected["y"])
-    outcome, trace = pipeline.shor_factor(expected["N"], config)
+    config = pipeline.ShorConfig(forced_m=EXAMPLE["m"], forced_y=EXAMPLE["y"])
+    outcome, trace = pipeline.shor_factor(EXAMPLE["N"], config)
     attempt = trace.attempts[0]
     candidates = {t[0]: list(t) for t in attempt.convergent_tests}
 
-    expansion = contfrac.cf_expand(expected["y"], trace.Q)
-    params = engine.closed_form_params(expected["period"], trace.Q)
-    prob_closed = engine.closed_form_prob(expected["y"], params)
+    expansion = contfrac.cf_expand(EXAMPLE["y"], trace.Q)
+    params = engine.closed_form_params(EXAMPLE["period"], trace.Q)
+    prob_closed = engine.closed_form_prob(EXAMPLE["y"], params)
     simulated = engine.simulated_distribution(
-        engine.choose_geometry(expected["N"]),
-        engine.ModExpFunction(expected["m"], expected["N"]),
+        engine.choose_geometry(EXAMPLE["N"]),
+        engine.ModExpFunction(EXAMPLE["m"], EXAMPLE["N"]),
     )
-    prob_simulated = float(simulated.probs[expected["y"]])
-    d_y = pipeline.d_from_y(expected["period"], expected["Q"], expected["y"])
-    half_power = numtheory.mod_pow(expected["m"], expected["period"] // 2, expected["N"])
-    gcd_value = numtheory.gcd_euclid(half_power - 1, expected["N"])
+    prob_simulated = float(simulated.probs[EXAMPLE["y"]])
+    d_y = pipeline.d_from_y(EXAMPLE["period"], EXAMPLE["Q"], EXAMPLE["y"])
+    half_power = numtheory.mod_pow(EXAMPLE["m"], EXAMPLE["period"] // 2, EXAMPLE["N"])
+    gcd_value = numtheory.gcd_euclid(half_power - 1, EXAMPLE["N"])
 
     def field(name, exp, act) -> dict:
         return {"field": name, "expected": exp, "actual": act, "ok": exp == act}
@@ -429,36 +416,35 @@ def _replicate_fields(perturb: bool) -> list[dict]:
     # The reference probability is printed to 10 significant digits with
     # the trailing digits dropped; match under the same truncation.
     truncated = _truncate_sig(prob_closed, 10)
-    fields = [
-        field("Q", expected["Q"], trace.Q),
-        field("L", expected["L"], trace.L),
-        field("coefficients", expected["coefficients"], list(expansion.coefficients)),
-        field("p_table", expected["p_table"], [p for p, _ in expansion.convergents]),
-        field("q_table", expected["q_table"], [q for _, q in expansion.convergents]),
-        field("d_of_y", expected["d_of_y"], d_y),
-        field("prob_closed_form_10_digits", expected["prob_printed"], truncated),
+    return [
+        field("Q", EXAMPLE["Q"], trace.Q),
+        field("L", EXAMPLE["L"], trace.L),
+        field("coefficients", EXAMPLE["coefficients"], list(expansion.coefficients)),
+        field("p_table", EXAMPLE["p_table"], [p for p, _ in expansion.convergents]),
+        field("q_table", EXAMPLE["q_table"], [q for _, q in expansion.convergents]),
+        field("d_of_y", EXAMPLE["d_of_y"], d_y),
+        field("prob_closed_form_10_digits", EXAMPLE["prob_printed"], truncated),
         field(
             "prob_simulated_vs_closed_1e-9",
             True,
             abs(prob_simulated - prob_closed) <= 1e-9,
         ),
-        field("rejected_candidate", list(expected["rejected_candidate"]), candidates.get(2)),
-        field("accepted_candidate", list(expected["accepted_candidate"]), candidates.get(3)),
-        field("period", expected["period"], attempt.period),
-        field("half_power", expected["half_power"], half_power),
-        field("gcd_value", expected["factor"], gcd_value),
-        field("factor", expected["factor"], outcome.factor),
+        field("rejected_candidate", list(EXAMPLE["rejected_candidate"]), candidates.get(2)),
+        field("accepted_candidate", list(EXAMPLE["accepted_candidate"]), candidates.get(3)),
+        field("period", EXAMPLE["period"], attempt.period),
+        field("half_power", EXAMPLE["half_power"], half_power),
+        field("gcd_value", EXAMPLE["factor"], gcd_value),
+        field("factor", EXAMPLE["factor"], outcome.factor),
     ]
-    return fields
 
 
 def cmd_replicate(args) -> int:
     started = time.perf_counter()
-    fields = _replicate_fields(args.perturb)
+    fields = _replicate_fields()
     elapsed = time.perf_counter() - started
     all_ok = all(f["ok"] for f in fields)
     if args.as_json:
-        manifest = _manifest(args, {"perturb": args.perturb})
+        manifest = _manifest(args, {})
         manifest["elapsed_s"] = elapsed
         _print_json({"manifest": manifest, "pass": all_ok, "fields": fields})
     else:

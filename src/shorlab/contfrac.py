@@ -19,12 +19,10 @@ class CFExpansion:
     """A finite simple continued fraction [a0; a1, ..., aN] of a rational.
 
     ``convergents[n]`` is the reduced fraction (p_n, q_n) truncating the
-    expansion after coefficient n; the last convergent equals
-    numerator/denominator in lowest terms.
+    expansion after coefficient n; the last convergent is the expanded
+    rational in lowest terms.
     """
 
-    numerator: int
-    denominator: int
     coefficients: tuple[int, ...]
     convergents: tuple[tuple[int, int], ...]
 
@@ -62,8 +60,6 @@ def cf_expand(numerator: int, denominator: int) -> CFExpansion:
     """
     terms = list(convergents(numerator, denominator))
     return CFExpansion(
-        numerator=numerator,
-        denominator=denominator,
         coefficients=tuple(a for a, _, _ in terms),
         convergents=tuple((p, q) for _, p, q in terms),
     )

@@ -23,7 +23,6 @@ the entangler produces.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,28 +86,6 @@ class ModExpFunction:
         return values
 
 
-class _Amplitudes(Mapping):
-    """Read-only {(x, v): amplitude} view of a state's rows, zeros included."""
-
-    def __init__(self, levels: np.ndarray, rows: np.ndarray):
-        self._index = {int(v): i for i, v in enumerate(levels)}
-        self._rows = rows
-
-    def __getitem__(self, key: tuple[int, int]) -> complex:
-        x, v = key
-        if v not in self._index or not 0 <= x < self._rows.shape[1]:
-            raise KeyError(key)
-        return complex(self._rows[self._index[v], x])
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        for v in self._index:
-            for x in range(self._rows.shape[1]):
-                yield (x, v)
-
-    def __len__(self) -> int:
-        return self._rows.size
-
-
 @dataclass(frozen=True, eq=False)
 class JointState:
     """Two-register state: rows[i, x] is the amplitude of |x>|levels[i]>.
@@ -121,22 +98,10 @@ class JointState:
     levels: np.ndarray
     rows: np.ndarray
 
-    @classmethod
-    def from_dict(
-        cls, geometry: RegisterGeometry, amplitudes: Mapping[tuple[int, int], complex]
-    ) -> JointState:
-        """State from a sparse {(x, v): amplitude} map; absent entries are zero."""
-        levels = np.array(sorted({v for _, v in amplitudes}), dtype=np.int64)
-        rows = np.zeros((levels.size, geometry.Q), dtype=np.complex128)
-        for (x, v), amp in amplitudes.items():
-            if not 0 <= x < geometry.Q:
-                raise ValueError(f"register-1 index {x} out of range for Q={geometry.Q}")
-            rows[np.searchsorted(levels, v), x] = amp
-        return cls(geometry, levels, rows)
-
     @property
-    def amplitudes(self) -> Mapping[tuple[int, int], complex]:
-        return _Amplitudes(self.levels, self.rows)
+    def amplitudes(self) -> np.ndarray:
+        """Every amplitude, row by row: rows.reshape(-1)."""
+        return self.rows.reshape(-1)
 
 
 @dataclass
@@ -184,7 +149,8 @@ def _probabilities(rows: np.ndarray) -> np.ndarray:
     return rows.real**2 + rows.imag**2
 
 
-def _check_circuit_budget(rows: int, q_total: int) -> None:
+def check_circuit_budget(rows: int, q_total: int) -> None:
+    """Raise CapacityError if ``rows`` rows of Q amplitudes are past CIRCUIT_MAX_AMPLITUDES."""
     if rows * q_total > CIRCUIT_MAX_AMPLITUDES:
         raise CapacityError(
             f"the circuit needs {rows} register-2 rows of Q={q_total} "
@@ -198,7 +164,7 @@ def initialize(geometry: RegisterGeometry) -> JointState:
     Raises CapacityError, before the row is allocated, when Q alone is past
     CIRCUIT_MAX_AMPLITUDES.
     """
-    _check_circuit_budget(1, geometry.Q)
+    check_circuit_budget(1, geometry.Q)
     rows = np.zeros((1, geometry.Q), dtype=np.complex128)
     rows[0, 0] = 1.0
     return JointState(geometry, np.zeros(1, dtype=np.int64), rows)
@@ -232,7 +198,7 @@ def apply_modexp_entangler(state: JointState, f: ModExpFunction) -> JointState:
     row, x = np.nonzero(state.rows)
     targets = (f.table(state.geometry.Q)[x] - state.levels[row]) % n
     levels, target_row = np.unique(targets, return_inverse=True)
-    _check_circuit_budget(levels.size, state.geometry.Q)
+    check_circuit_budget(levels.size, state.geometry.Q)
     rows = np.zeros((levels.size, state.geometry.Q), dtype=np.complex128)
     rows[target_row, x] = state.rows[row, x]
     return JointState(state.geometry, levels, rows)

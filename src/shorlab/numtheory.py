@@ -9,31 +9,11 @@ package; keep them dumb and obviously correct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Desk-scale cap: keeps Q = O(N^2) register sizes and dense distributions
 # materializable.  Not a correctness limit (all integer math is exact).
 DEFAULT_MAX_N = 10**6
-
-
-@dataclass(frozen=True)
-class PrimalityVerdict:
-    """Outcome of a Miller-Rabin run.
-
-    ``composite`` verdicts are certain and carry a witness base that fails
-    the strong-probable-prime condition; ``probable_prime`` verdicts carry
-    the 2**-rounds error bound.
-    """
-
-    kind: str  # "probable_prime" | "composite"
-    error_bound: float
-    witness: int | None = None
-
-    @property
-    def is_composite(self) -> bool:
-        return self.kind == "composite"
 
 
 def gcd_euclid(a: int, b: int) -> int:
@@ -84,27 +64,27 @@ def _mr_round_passes(n: int, base: int) -> bool:
     return False
 
 
-def miller_rabin(n: int, rounds: int, rng: np.random.Generator) -> PrimalityVerdict:
+def miller_rabin(n: int, rounds: int, rng: np.random.Generator) -> int | None:
     """Probabilistic primality test with ``rounds`` independent random bases.
 
-    For n < 100 the answer is settled by trial division instead; composite
-    verdicts still attach a base failing the strong-probable-prime
-    condition so the certificate is uniform across both paths.
+    Returns a witness of compositeness (a base failing the
+    strong-probable-prime condition, so the verdict is certain), or None
+    for a probable prime, wrong with probability at most 2**-rounds.  For
+    n < 100 the answer is settled by trial division instead, and a
+    composite still gets a witness, so the certificate is uniform across
+    both paths.
     """
     if n < 2:
         raise ValueError("primality is defined for n >= 2")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    bound = 2.0**-rounds
     if n < 100:
-        if _trial_division_prime(n):
-            return PrimalityVerdict("probable_prime", bound)
-        return PrimalityVerdict("composite", 0.0, _small_mr_witness(n))
+        return None if _trial_division_prime(n) else _small_mr_witness(n)
     for _ in range(rounds):
         base = _random_base(n, rng)
         if not _mr_round_passes(n, base):
-            return PrimalityVerdict("composite", 0.0, base)
-    return PrimalityVerdict("probable_prime", bound)
+            return base
+    return None
 
 
 def _random_base(n: int, rng: np.random.Generator) -> int:

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import contfrac, engine, numtheory
 
-# Miller-Rabin rounds of the primality precondition.  A composite verdict
-# is certain; a probable-prime verdict carries the error bound 2**-20.
+# Miller-Rabin rounds of the primality precondition.  A witness proves n
+# composite; no witness leaves n a probable prime, with error bound 2**-20.
 MILLER_RABIN_ROUNDS = 20
 
 # Tabulated lower bounds for e**-gamma - eps(P): the margin by which the
@@ -186,11 +186,11 @@ def step345_classical(m: int, period: int, n: int) -> StepOutcome:
 def _check_preconditions(n: int, rng: np.random.Generator) -> None:
     if n < 3 or n % 2 == 0:
         raise PreconditionError("even modulus", f"{n} is even or too small; need an odd N >= 3")
-    verdict = numtheory.miller_rabin(n, MILLER_RABIN_ROUNDS, rng)
-    if not verdict.is_composite:
+    if numtheory.miller_rabin(n, MILLER_RABIN_ROUNDS, rng) is None:
         raise PreconditionError(
             "probable prime",
-            f"{n} is probably prime (error bound {verdict.error_bound:.2e}); nothing to factor",
+            f"{n} is probably prime (error bound {2.0**-MILLER_RABIN_ROUNDS:.2e}); "
+            "nothing to factor",
         )
     if numtheory.is_perfect_power(n):
         raise PreconditionError(
@@ -214,6 +214,9 @@ def shor_factor(n: int, config: ShorConfig | None = None) -> tuple[StepOutcome, 
     if config.forced_m is not None and not 2 <= config.forced_m < n:
         raise ValueError(f"forced base {config.forced_m} is outside step 1's range [2, {n - 1}]")
     geometry = engine.choose_geometry(n)
+    # Every attempt that reaches the circuit needs at least one row of Q
+    # amplitudes: past the budget, only a lucky gcd could end the run.
+    engine.check_circuit_budget(1, geometry.Q)
     trace = FactorizationTrace(N=n, Q=geometry.Q, L=geometry.L)
     outcome = StepOutcome(OutcomeKind.PERIOD_RECOVERY_FAILED)
     # The circuit is deterministic in (geometry, m): an attempt that draws
@@ -360,49 +363,38 @@ def trial_uniform(master_seed: int, trial_index: int) -> float:
     )
 
 
-def monte_carlo_step2(
-    n: int,
-    m: int,
-    trials: int,
-    seed: int,
-    forced_y: int | None = None,
-) -> MonteCarloResult:
+def monte_carlo_step2(n: int, m: int, trials: int, seed: int) -> MonteCarloResult:
     """Estimate the per-measurement period-recovery rate over seeded trials.
 
     The quantum subroutine is a fixed stochastic source for given (n, m),
     so its distribution is simulated once and each trial draws one outcome
-    from it by inverse CDF.  A forced outcome replaces the draw; as in
-    ``shor_factor``, it must lie in [0, Q) and have nonzero probability.
-    A trial succeeds when the convergent scan returns exactly the
-    multiplicative order of m.  The scan is a function of the outcome alone, so it runs
-    once per distinct outcome and counts for every trial that drew it.
-    Trials run in chunks of MONTE_CARLO_CHUNK and only the per-outcome
-    counts outlive a chunk, so memory does not grow with the trial count.
+    from it by inverse CDF.  A trial succeeds when the convergent scan
+    returns exactly the multiplicative order of m.  The scan is a function
+    of the outcome alone, so it runs once per distinct outcome and counts
+    for every trial that drew it.  Trials run in chunks of
+    MONTE_CARLO_CHUNK and only the per-outcome counts outlive a chunk, so
+    memory does not grow with the trial count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     geometry = engine.choose_geometry(n)
     period = numtheory.multiplicative_order(m, n)
     dist = engine.simulated_distribution(geometry, engine.ModExpFunction(m, n))
-    if forced_y is not None:
-        outcomes, counts = [engine.check_outcome(dist, forced_y)], [trials]
-    else:
-        cumulative = np.cumsum(dist.probs)
-        hits = np.zeros(geometry.Q, dtype=np.int64)
-        # Every draw comes from trial_uniform, the function that replays a
-        # trial, so a run and a replay cannot disagree.
-        for start in range(0, trials, MONTE_CARLO_CHUNK):
-            size = min(MONTE_CARLO_CHUNK, trials - start)
-            uniforms = np.fromiter(
-                map(trial_uniform, itertools.repeat(seed, size), range(start, start + size)),
-                dtype=np.float64,
-                count=size,
-            )
-            hits += np.bincount(engine.draw_outcome(cumulative, uniforms), minlength=geometry.Q)
-        ys = np.flatnonzero(hits)
-        outcomes, counts = ys.tolist(), hits[ys].tolist()
+    cumulative = np.cumsum(dist.probs)
+    hits = np.zeros(geometry.Q, dtype=np.int64)
+    # Every draw comes from trial_uniform, the function that replays a
+    # trial, so a run and a replay cannot disagree.
+    for start in range(0, trials, MONTE_CARLO_CHUNK):
+        size = min(MONTE_CARLO_CHUNK, trials - start)
+        uniforms = np.fromiter(
+            map(trial_uniform, itertools.repeat(seed, size), range(start, start + size)),
+            dtype=np.float64,
+            count=size,
+        )
+        hits += np.bincount(engine.draw_outcome(cumulative, uniforms), minlength=geometry.Q)
+    ys = np.flatnonzero(hits)
     histogram = {"recovered_order": 0, "recovered_multiple": 0, "unrecovered": 0}
-    for y, count in zip(outcomes, counts):
+    for y, count in zip(ys.tolist(), hits[ys].tolist()):
         recovery = step25_recover_period(y, geometry.Q, m, n)
         if recovery.period == period:
             histogram["recovered_order"] += count

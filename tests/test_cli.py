@@ -67,11 +67,8 @@ def test_factor_rejects_inputs_past_int64(capsys):
 
 def test_main_reuses_one_parser_without_leaking_state(capsys, tmp_path):
     assert cli.build_parser() is cli.build_parser()
-    code, out, _ = run_cli(
-        capsys, "montecarlo", "15", "2", "10", "--seed", "5", "--forced-y", "64"
-    )
+    code, out, _ = run_cli(capsys, "montecarlo", "15", "2", "10", "--seed", "5")
     assert code == 0
-    assert json.loads(out)["manifest"]["config"]["forced_y"] == 64
     code, out, _ = run_cli(capsys, "factor", "15")
     config = json.loads(out)["manifest"]["config"]
     assert code == 0
@@ -83,22 +80,21 @@ def test_main_reuses_one_parser_without_leaking_state(capsys, tmp_path):
     assert code == 0 and out.startswith("y,prob\n") and len(out.splitlines()) == 257
     code, out, _ = run_cli(capsys, "montecarlo", "15", "2", "10")
     config = json.loads(out)["manifest"]["config"]
-    assert code == 0 and (config["seed"], config["forced_y"]) == (0, None)
+    assert code == 0 and config["seed"] == 0
 
 
 def test_factor_usage_errors(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["factor", "ninetyone"])
-    assert excinfo.value.code == 64
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main([])
-    assert excinfo.value.code == 64
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["factor", "91", "--q-override", "16384"])
-    assert excinfo.value.code == 64
-    capsys.readouterr()
+    for argv in (
+        ["factor", "ninetyone"],
+        [],
+        ["factor", "91", "--q-override", "16384"],
+        ["montecarlo", "15", "2", "10", "--forced-y", "64"],
+        ["replicate", "--perturb"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 64, argv
+        capsys.readouterr()
 
 
 def test_factor_identical_seeds_identical_json(capsys):
@@ -334,11 +330,6 @@ def test_montecarlo_json_summary(capsys):
 
 
 def test_montecarlo_forced_outcome_and_usage(capsys):
-    code, out, _ = run_cli(
-        capsys, "montecarlo", "91", "3", "1", "--seed", "7", "--forced-y", "13453"
-    )
-    assert code == 0
-    assert json.loads(out)["success_fraction"] == 1.0
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["montecarlo", "15", "2", "0"])
     assert excinfo.value.code == 64
@@ -362,7 +353,7 @@ def test_truncate_sig_does_not_round_up():
     assert cli._truncate_sig(0.5, 10) == "5.000000000e-01"
 
 
-def test_replicate_json_and_perturbation(capsys):
+def test_replicate_json_and_perturbation(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "replicate", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -370,7 +361,8 @@ def test_replicate_json_and_perturbation(capsys):
     assert len(payload["fields"]) == 14
     assert all(f["ok"] for f in payload["fields"])
 
-    code, out, _ = run_cli(capsys, "replicate", "--perturb", "--json")
+    monkeypatch.setitem(cli.EXAMPLE, "factor", 14)
+    code, out, _ = run_cli(capsys, "replicate", "--json")
     assert code == 1
     payload = json.loads(out)
     assert payload["pass"] is False
@@ -429,7 +421,7 @@ MANIFEST_KEYS = {
         (
             ("montecarlo", "15", "2", "1000", "--seed", "7"),
             {
-                *("manifest.config." + k for k in ("N", "m", "trials", "seed", "forced_y")),
+                *("manifest.config." + k for k in ("N", "m", "trials", "seed")),
                 "N",
                 "m",
                 "P",
@@ -447,7 +439,6 @@ MANIFEST_KEYS = {
         (
             ("replicate", "--json"),
             {
-                "manifest.config.perturb",
                 "manifest.elapsed_s",
                 "pass",
                 "fields",
@@ -493,8 +484,6 @@ REJECTED_INPUTS = [
     (("montecarlo", "0", "3", "10"), "modulus must be >= 2"),
     (("montecarlo", "2000000", "3", "10"), "exceeds the desk-scale cap"),
     (("montecarlo", "15", "5", "10"), "gcd(5, 15) != 1"),
-    (("montecarlo", "91", "3", "10", "--forced-y", "99999"), "sample space of size 16384"),
-    (("montecarlo", "15", "2", "10", "--forced-y", "1"), "zero probability"),
     (("distribution", "0", "1"), "modulus must be >= 2"),
     (("distribution", "15", "3"), "gcd(3, 15) != 1"),
     (("cf", "-5", "3"), "numerator must be non-negative"),
@@ -502,7 +491,15 @@ REJECTED_INPUTS = [
     (("factor", "91", "--forced-m", "182"), "range [2, 90]"),
     (("factor", "91", "--forced-m", "3", "--forced-y", "99999"), "sample space of size 16384"),
     (("factor", "15", "--forced-m", "2", "--forced-y", "1"), "zero probability"),
-    (("factor", "97"), "precondition failed (probable prime)"),
+    (
+        ("factor", "97"),
+        "precondition failed (probable prime): 97 is probably prime (error bound 9.54e-07)",
+    ),
+    # Past the circuit budget a run is rejected before its first attempt,
+    # so a lucky first gcd cannot end it with a factor.
+    (("factor", "8193", "--seed", "1"), "2**26"),
+    (("factor", "8193", "--seed", "6"), "2**26"),
+    (("factor", "8193", "--forced-m", "3"), "2**26"),
 ]
 
 

@@ -345,10 +345,6 @@ def test_monte_carlo_reproducible_and_forced():
     b = monte_carlo_step2(15, 2, 500, seed=11)
     assert a.successes == b.successes
     assert a.histogram == b.histogram
-    forced_hit = monte_carlo_step2(15, 2, 1, seed=0, forced_y=64)
-    assert forced_hit.success_fraction == 1.0
-    forced_miss = monte_carlo_step2(15, 2, 1, seed=0, forced_y=0)
-    assert forced_miss.success_fraction == 0.0
 
 
 def test_trial_uniform_replays_the_philox_stream():
@@ -383,13 +379,6 @@ def test_monte_carlo_rejects_bad_input():
         monte_carlo_step2(15, 2, 0, seed=0)
     with pytest.raises(ValueError, match="modulus must be >= 2"):
         monte_carlo_step2(0, 3, 10, seed=0)
-    # Forced outcomes are checked as in factor: in [0, Q), nonzero probability.
-    with pytest.raises(ValueError, match="sample space of size 16384"):
-        monte_carlo_step2(91, 3, 10, seed=0, forced_y=99999)
-    with pytest.raises(ValueError, match="sample space"):
-        monte_carlo_step2(91, 3, 10, seed=0, forced_y=-1)
-    with pytest.raises(ValueError, match="zero probability"):
-        monte_carlo_step2(15, 2, 10, seed=0, forced_y=1)
 
 
 def test_lucky_out_of_set_successes_are_flagged():
