@@ -197,8 +197,13 @@ def apply_modexp_entangler(state: JointState, f: ModExpFunction) -> JointState:
         raise ValueError(f"register-2 value {state.levels[-1]} out of range for modulus {n}")
     row, x = np.nonzero(state.rows)
     targets = (f.table(state.geometry.Q)[x] - state.levels[row]) % n
-    levels, target_row = np.unique(targets, return_inverse=True)
+    # A presence table over the N register-2 values gives the sorted
+    # distinct targets, and its running count each target's row.
+    present = np.zeros(n, dtype=bool)
+    present[targets] = True
+    levels = np.flatnonzero(present)
     check_circuit_budget(levels.size, state.geometry.Q)
+    target_row = (np.cumsum(present) - 1)[targets]
     rows = np.zeros((levels.size, state.geometry.Q), dtype=np.complex128)
     rows[target_row, x] = state.rows[row, x]
     return JointState(state.geometry, levels, rows)

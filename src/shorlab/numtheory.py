@@ -28,7 +28,7 @@ def gcd_euclid(a: int, b: int) -> int:
 
 
 def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus via square-and-multiply on the binary expansion.
+    """base**exponent mod modulus by Python's three-argument pow.
 
     O(lg exponent) multiplications; used by the period test, which checks
     convergent denominators q as candidate periods by computing m**q mod N.
@@ -37,14 +37,7 @@ def mod_pow(base: int, exponent: int, modulus: int) -> int:
         raise ValueError("modulus must be >= 2")
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
-    result = 1
-    base %= modulus
-    while exponent > 0:
-        if exponent & 1:
-            result = result * base % modulus
-        base = base * base % modulus
-        exponent >>= 1
-    return result
+    return pow(base, exponent, modulus)
 
 
 def _mr_round_passes(n: int, base: int) -> bool:

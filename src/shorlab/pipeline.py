@@ -14,7 +14,6 @@ period-recovery decisions exactly.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -341,13 +340,10 @@ UNIFORM_BLOCK = 1 << 12
 MONTE_CARLO_CHUNK = 1 << 16
 
 
-@functools.lru_cache(maxsize=1)
-def _uniform_block(master_seed: int, block: int) -> np.ndarray:
-    bit_generator = np.random.Philox(key=master_seed)
-    bit_generator.advance(block * UNIFORM_BLOCK // 4)
-    draws = np.random.Generator(bit_generator).random(UNIFORM_BLOCK)
-    draws.flags.writeable = False
-    return draws
+# The last block drawn, as one (seed, block, draws) tuple with the draws
+# as Python floats.  A miss rebinds the whole tuple, so a reader never
+# sees the fields of two different blocks.
+_last_block: tuple = (None, None, [])
 
 
 def trial_uniform(master_seed: int, trial_index: int) -> float:
@@ -356,11 +352,19 @@ def trial_uniform(master_seed: int, trial_index: int) -> float:
 
     The counter jumps straight to the trial's block, so any single trial
     can be replayed; the last block drawn is kept, so consecutive trials
-    cost one array lookup each.
+    cost one list lookup each.  Raises ValueError for a negative index.
     """
-    return _uniform_block(master_seed, trial_index // UNIFORM_BLOCK).item(
-        trial_index % UNIFORM_BLOCK
-    )
+    global _last_block
+    seed, block, draws = _last_block
+    if master_seed != seed or trial_index // UNIFORM_BLOCK != block:
+        block = trial_index // UNIFORM_BLOCK
+        if block < 0:
+            raise ValueError(f"trial index {trial_index} is negative")
+        bit_generator = np.random.Philox(key=master_seed)
+        bit_generator.advance(block * UNIFORM_BLOCK // 4)
+        draws = np.random.Generator(bit_generator).random(UNIFORM_BLOCK).tolist()
+        _last_block = (master_seed, block, draws)
+    return draws[trial_index % UNIFORM_BLOCK]
 
 
 def monte_carlo_step2(n: int, m: int, trials: int, seed: int) -> MonteCarloResult:
@@ -391,6 +395,9 @@ def monte_carlo_step2(n: int, m: int, trials: int, seed: int) -> MonteCarloResul
             dtype=np.float64,
             count=size,
         )
+        # Counts do not depend on draw order, and sorted keys make the
+        # search walk the cumulative table front to back.
+        uniforms.sort()
         hits += np.bincount(engine.draw_outcome(cumulative, uniforms), minlength=geometry.Q)
     ys = np.flatnonzero(hits)
     histogram = {"recovered_order": 0, "recovered_multiple": 0, "unrecovered": 0}

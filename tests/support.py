@@ -2,7 +2,7 @@
 
 The oracles here are deliberately independent of the library's own
 implementations: naive repeated multiplication instead of
-square-and-multiply, bottom-up nested fractions instead of the convergent
+three-argument pow, bottom-up nested fractions instead of the convergent
 recurrence, the dense transform matrix instead of the FFT path.  Property
 checks raise AssertionError on violation; the acceptance gate re-runs
 them under its time budget.
@@ -191,6 +191,21 @@ def nonzero_amplitudes(state) -> dict[tuple[int, int], complex]:
 def max_state_diff(a, b) -> float:
     a, b = amplitude_map(a), amplitude_map(b)
     return max(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b))
+
+
+def unique_entangler(state, f) -> engine.JointState:
+    """The entangler by sorting: each nonzero amplitude's target value from
+    Python's pow, the new levels and rows from np.unique and its inverse."""
+    row, x = np.nonzero(state.rows)
+    levels_of = state.levels.tolist()
+    targets = np.array(
+        [(pow(f.m, c, f.N) - levels_of[r]) % f.N for r, c in zip(row.tolist(), x.tolist())],
+        dtype=np.int64,
+    )
+    levels, target_row = np.unique(targets, return_inverse=True)
+    rows = np.zeros((levels.size, state.geometry.Q), dtype=np.complex128)
+    rows[target_row, x] = state.rows[row, x]
+    return engine.JointState(state.geometry, levels, rows)
 
 
 def naive_monte_carlo_histogram(n: int, m: int, trials: int, seed: int) -> dict[str, int]:

@@ -248,9 +248,10 @@ def test_simulation_over_circuit_budget_is_rejected_before_allocating():
     assert len(errors) == len(cases)
     assert all("2**26" in line for line in errors)
     assert "232 register-2 rows" in errors[0]
-    # The register-1 transform of |0> and the entangler's index arrays at
-    # Q = 2**20 take about 80 MiB; the rejected rows would take 3.6 GiB.
-    assert results[0][1] < 128 << 20
+    # The register-1 transform of |0> and the entangler's Q-length index
+    # arrays, up to its targets, take about 48 MiB at Q = 2**20; the
+    # rejected rows would take 3.6 GiB.
+    assert results[0][1] < 64 << 20
     # At Q = 2**27 nothing of register size (a bool array would be 128 MiB)
     # exists before the check; the peaks are first-use imports and caches.
     assert all(peak < 4 << 20 for _, peak in results[1:])

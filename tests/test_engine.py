@@ -130,6 +130,22 @@ def test_entangler_single_ket_and_involution():
     support.check_entangler_involution()
 
 
+def test_entangler_matches_the_unique_oracle():
+    rng = np.random.default_rng(2024)
+    for n, m in ((15, 2), (21, 5), (91, 3)):
+        geometry = choose_geometry(n)
+        f = ModExpFunction(m, n)
+        for occupied in ([0], [0, n - 1], [0, 1, n // 2, n - 1]):
+            shape = (len(occupied), geometry.Q)
+            rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            rows[rng.random(shape) < 0.5] = 0.0
+            state = engine.JointState(geometry, np.array(occupied, dtype=np.int64), rows)
+            got = apply_modexp_entangler(state, f)
+            want = support.unique_entangler(state, f)
+            assert got.levels.tolist() == want.levels.tolist()
+            assert np.array_equal(got.rows, want.rows)
+
+
 def test_entangler_rejects_out_of_range_register2():
     geometry = choose_geometry(15)
     bad = support.state_from_dict(geometry, {(0, 15): 1.0 + 0.0j})

@@ -357,6 +357,43 @@ def test_trial_uniform_replays_the_philox_stream():
             assert stream[i] == pipeline.trial_uniform(seed, i), (seed, i)
 
 
+def test_trial_uniform_replays_across_interleaved_seeds():
+    block = pipeline.UNIFORM_BLOCK
+    a, b = 3, 2**64 - 1
+    streams = {
+        seed: np.random.Generator(np.random.Philox(key=seed)).random(3 * block)
+        for seed in (a, b)
+    }
+    # The same block index under seed a, then b, then a again: each switch
+    # must draw the other seed's block, at both edges of the block.
+    for i in (block, 2 * block - 1):
+        for seed in (a, b, a):
+            assert streams[seed][i] == pipeline.trial_uniform(seed, i), (seed, i)
+
+
+def test_trial_uniform_rejects_negative_indices():
+    # With seed 0's first block kept, a negative index must still be refused.
+    pipeline.trial_uniform(0, 0)
+    for i in (-1, -pipeline.UNIFORM_BLOCK, -pipeline.UNIFORM_BLOCK - 1):
+        with pytest.raises(ValueError, match="negative"):
+            pipeline.trial_uniform(0, i)
+
+
+@pytest.mark.parametrize(
+    "n, m, trials, seed, histogram",
+    [
+        (91, 3, 100_000, 7, (33273, 6, 66721)),
+        (95, 33, 10_000, 1, (3221, 0, 6779)),
+        (15, 2, 1000, 2**64 - 1, (516, 0, 484)),
+    ],
+)
+def test_monte_carlo_golden_histograms(n, m, trials, seed, histogram):
+    # Exact counts: neither the order of the draws nor the chunking may move one trial.
+    result = monte_carlo_step2(n, m, trials, seed)
+    keys = ("recovered_order", "recovered_multiple", "unrecovered")
+    assert result.histogram == dict(zip(keys, histogram))
+
+
 def test_monte_carlo_matches_naive_per_trial_loop():
     for n, m, trials in ((15, 2, 500), (91, 3, 2000)):
         for seed in (0, 11):
