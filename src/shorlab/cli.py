@@ -340,7 +340,7 @@ def cmd_distribution(args) -> int:
         period = numtheory.multiplicative_order(args.m, args.N)
         params = engine.closed_form_params(period, geometry.Q)
     # The circuit runs first: it checks its budget before allocating, and
-    # the closed form's sin^2 table can take gigabytes past that budget.
+    # the closed form's sin^2 table can take up to 1 GiB past that budget.
     if args.simulate or args.compare:
         probs = simulated = engine.simulated_distribution(geometry, f).probs
     if not args.simulate:

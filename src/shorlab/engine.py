@@ -37,9 +37,9 @@ class CapacityError(Exception):
 # Most amplitudes the circuit's rows may hold after the entangler (1 GiB of
 # complex128, before the transform's copies), checked before they exist.
 CIRCUIT_MAX_AMPLITUDES = 1 << 26
-# Largest register size the vectorized closed form accepts: its int64
-# residues multiply two values below Q, exact while Q**2 < 2**63.
-CLOSED_FORM_MAX_Q = 1 << 31
+# Largest register size the closed form accepts, set by memory: its
+# (Q/2 + 1)-entry sin^2 table plus its Q-entry result take 3 GiB at 2**28.
+CLOSED_FORM_MAX_Q = 1 << 28
 # Entries per batch of the closed form: table entries built from Python
 # floats, and outcomes evaluated, at a time.
 SIN2_BATCH = 1 << 16
@@ -115,9 +115,9 @@ class OutcomeDistribution:
 class ClosedFormParams:
     """Decomposition Q = P*q + r with 0 <= r < P, and Q0 = P*q.
 
-    Q must lie within the vectorized closed form's budget: its int64
-    residues multiply two values below Q, exact only while Q <= 2**31.
-    The check runs when the parameters are made, before any array exists.
+    Q must lie within the closed form's memory budget, Q <= 2**28: the
+    sin^2 table and the result take 3 GiB there.  The check runs when the
+    parameters are made, before any array exists.
     """
 
     P: int
@@ -129,8 +129,8 @@ class ClosedFormParams:
     def __post_init__(self) -> None:
         if self.Q > CLOSED_FORM_MAX_Q:
             raise CapacityError(
-                f"register size {self.Q} exceeds the closed-form budget Q <= 2**31 "
-                "(its int64 residues are exact only up to there)"
+                f"register size {self.Q} exceeds the closed-form budget Q <= 2**28 "
+                "(its sin^2 table and result take 3 GiB there)"
             )
 
 
@@ -329,12 +329,13 @@ def closed_form_distribution(params: ClosedFormParams) -> OutcomeDistribution:
     operation order.  Every sine argument is pi*k/Q for an integer k that
     the scalar route reduces to its smallest-magnitude residue, so
     |k| <= Q/2 and, sin^2 being even, one table over k = 0..Q/2 serves
-    them all.  The residues are exact while a product of two values below
-    Q fits in int64, which ``ClosedFormParams`` guarantees.  The outcomes
-    are taken SIN2_BATCH at a time and written straight into the result,
-    so the temporaries stay small.
+    them all.  Since P*q = Q - r, the arguments t*q and t*(q+1), with
+    t = P*y, are -r*y and (P - r)*y mod Q, so each residue (t, tq, tq1) is
+    one product y * (c mod Q), below 2**56 at Q <= 2**28.  The outcomes are
+    taken SIN2_BATCH at a time and written straight into the result, so
+    the temporaries stay small.
     """
-    P, Q, q, r, Q0 = params.P, params.Q, params.q, params.r, params.Q0
+    P, Q, r, Q0 = params.P, params.Q, params.r, params.Q0
     sin2 = _sin2_table(Q)
 
     def sin2_at(residue: np.ndarray) -> np.ndarray:
@@ -346,13 +347,10 @@ def closed_form_distribution(params: ClosedFormParams) -> OutcomeDistribution:
     # (IEEE products commute, so sin2 * r is bit for bit r * sin2.)
     probs = np.full(Q, (r * (Q0 + P) ** 2 + (P - r) * Q0**2) / (Q * Q * P * P))
     for start in range(0, Q, SIN2_BATCH):
-        t = np.arange(start, min(start + SIN2_BATCH, Q), dtype=np.int64)
-        t *= P % Q
-        t %= Q  # P*y mod Q
-        tq = t * (q % Q)
-        tq %= Q  # t*q mod Q
-        tq1 = tq + t
-        tq1[tq1 >= Q] -= Q  # t*(q+1) mod Q
+        y = np.arange(start, min(start + SIN2_BATCH, Q), dtype=np.int64)
+        t, tq, tq1 = (y * (c % Q) for c in (P, r, P - r))
+        for residue in (t, tq, tq1):
+            residue %= Q
         numerator = sin2_at(tq1)
         numerator *= float(r)
         numerator += float(P - r) * sin2_at(tq)

@@ -203,8 +203,8 @@ def shor_factor(n: int, config: ShorConfig | None = None) -> tuple[StepOutcome, 
 
     Returns the final outcome plus a trace recording every attempt.  The
     forced_m / forced_y config fields replay a specific run (the forced
-    base must lie in step 1's range [2, N-1] and the forced outcome must
-    have nonzero probability); with both forced the run makes one attempt.
+    base must lie in step 1's range [2, N-1]; a forced outcome needs a
+    forced base and nonzero probability, and makes the run one attempt).
     """
     config = config or ShorConfig()
     started = time.perf_counter()
@@ -212,6 +212,8 @@ def shor_factor(n: int, config: ShorConfig | None = None) -> tuple[StepOutcome, 
     _check_preconditions(n, rng)
     if config.forced_m is not None and not 2 <= config.forced_m < n:
         raise ValueError(f"forced base {config.forced_m} is outside step 1's range [2, {n - 1}]")
+    if config.forced_y is not None and config.forced_m is None:
+        raise ValueError(f"forced outcome {config.forced_y} needs a forced base to be drawn from")
     geometry = engine.choose_geometry(n)
     # Every attempt that reaches the circuit needs at least one row of Q
     # amplitudes: past the budget, only a lucky gcd could end the run.
@@ -221,9 +223,9 @@ def shor_factor(n: int, config: ShorConfig | None = None) -> tuple[StepOutcome, 
     # The circuit is deterministic in (geometry, m): an attempt that draws
     # the previous attempt's base reuses its outcome distribution.
     circuit_m = None
-    # With both the base and the outcome forced, every attempt repeats the
-    # first one exactly, so one attempt decides the run.
-    replay = config.forced_m is not None and config.forced_y is not None
+    # A forced outcome comes with a forced base, so every attempt would
+    # repeat the first one exactly: one attempt decides the run.
+    replay = config.forced_y is not None
     for _ in range(1 if replay else config.max_outer_retries):
         if config.forced_m is not None:
             m = config.forced_m

@@ -204,23 +204,16 @@ def test_closed_form_csv_traced_peaks_at_q_2_20(tmp_path):
     assert csv_peak < 16 << 20
 
 
-def test_simulation_over_circuit_budget_is_rejected_before_allocating():
-    # N = 1003, m = 2 needs 232 rows of Q = 2**20 amplitudes: 3.9 GB.  N =
-    # 8193 needs Q = 2**27, where one row of the circuit (2 GiB) is already
-    # past the budget.  The child may map at most 2 GiB, so without the
-    # checks each case dies with a MemoryError instead of taking the
-    # machine's memory.
-    cases = [
-        ["distribution", "1003", "2", "--simulate"],
-        ["distribution", "8193", "2", "--simulate"],
-        ["distribution", "8193", "2", "--compare"],
-        ["factor", "8193", "--forced-m", "2"],
-        ["montecarlo", "8193", "2", "10"],
-    ]
+def run_limited(cases, limit):
+    """Run each argv in one child limited to ``limit`` bytes of address space.
+
+    Returns each case's (exit code, traced peak) and the child's stderr lines.
+    """
     script = textwrap.dedent(
         """
         import json, resource, sys, tracemalloc
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        limit = int(sys.argv[2])
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
         from shorlab import cli
         for argv in json.loads(sys.argv[1]):
             tracemalloc.start()
@@ -235,7 +228,7 @@ def test_simulation_over_circuit_budget_is_rejected_before_allocating():
     # count against the limit on a machine with many cores.
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     done = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(cases)],
+        [sys.executable, "-c", script, json.dumps(cases), str(limit)],
         capture_output=True,
         text=True,
         env=env,
@@ -243,7 +236,23 @@ def test_simulation_over_circuit_budget_is_rejected_before_allocating():
     )
     assert done.returncode == 0, done.stderr
     results = [tuple(map(int, line.split())) for line in done.stdout.splitlines()]
-    errors = done.stderr.splitlines()
+    return results, done.stderr.splitlines()
+
+
+def test_simulation_over_circuit_budget_is_rejected_before_allocating():
+    # N = 1003, m = 2 needs 232 rows of Q = 2**20 amplitudes: 3.9 GB.  N =
+    # 8193 needs Q = 2**27, where one row of the circuit (2 GiB) is already
+    # past the budget.  The child may map at most 2 GiB, so without the
+    # checks each case dies with a MemoryError instead of taking the
+    # machine's memory.
+    cases = [
+        ["distribution", "1003", "2", "--simulate"],
+        ["distribution", "8193", "2", "--simulate"],
+        ["distribution", "8193", "2", "--compare"],
+        ["factor", "8193", "--forced-m", "2"],
+        ["montecarlo", "8193", "2", "10"],
+    ]
+    results, errors = run_limited(cases, 2 << 30)
     assert [code for code, _ in results] == [2] * len(cases)
     assert len(errors) == len(cases)
     assert all("2**26" in line for line in errors)
@@ -257,9 +266,26 @@ def test_simulation_over_circuit_budget_is_rejected_before_allocating():
     assert all(peak < 4 << 20 for _, peak in results[1:])
 
 
+def test_closed_form_over_budget_is_rejected_before_allocating():
+    # N = 16385 and 20001 need Q = 2**29, one step past the closed form's
+    # Q <= 2**28: a 2 GiB sin^2 table and a 4 GiB result.  The child may
+    # map at most 1 GiB, so without the check each case dies at once with
+    # a MemoryError on the table instead of taking the machine's memory.
+    cases = [
+        ["distribution", n, "2", mode]
+        for n in ("16385", "20001")
+        for mode in ("--closed-form", "--compare")
+    ]
+    results, errors = run_limited(cases, 1 << 30)
+    assert [code for code, _ in results] == [2] * len(cases)
+    assert len(errors) == len(cases)
+    assert all("536870912" in line and "Q <= 2**28" in line for line in errors)
+    assert all(peak < 1 << 20 for _, peak in results)
+
+
 @pytest.mark.parametrize("mode", ["--closed-form", "--compare"])
 def test_distribution_over_closed_form_budget_is_rejected(capsys, mode):
-    # N = 46341 needs Q = 2**32, past the int64 closed form's Q <= 2**31.
+    # N = 46341 needs Q = 2**32, past the closed form's Q <= 2**28.
     # The budget check runs before any allocation, the circuit included.
     tracemalloc.start()
     try:
@@ -268,7 +294,7 @@ def test_distribution_over_closed_form_budget_is_rejected(capsys, mode):
     finally:
         tracemalloc.stop()
     assert code == 2 and out == ""
-    assert "4294967296" in err and "Q <= 2**31" in err
+    assert "4294967296" in err and "Q <= 2**28" in err
     assert peak < 1 << 20
 
 
@@ -492,6 +518,9 @@ REJECTED_INPUTS = [
     (("factor", "91", "--forced-m", "182"), "range [2, 90]"),
     (("factor", "91", "--forced-m", "3", "--forced-y", "99999"), "sample space of size 16384"),
     (("factor", "15", "--forced-m", "2", "--forced-y", "1"), "zero probability"),
+    # An outcome belongs to one base's distribution: forcing it alone would
+    # pass or fail with the seed's base.
+    (("factor", "15", "--forced-y", "64"), "needs a forced base"),
     (
         ("factor", "97"),
         "precondition failed (probable prime): 97 is probably prime (error bound 9.54e-07)",

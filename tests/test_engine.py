@@ -238,6 +238,7 @@ def test_closed_form_distribution_normalization_and_point_mass():
         (3, 2),  # P > Q: q = 0
         (24, 1 << 16),
         (23, 1 << 17),  # odd P over two SIN2_BATCH slices
+        (1000, 256),  # P > Q: P - r = 744 and P itself reduce mod Q
     ],
 )
 def test_closed_form_distribution_is_the_scalar_closed_form_bitwise(period, q_total):
@@ -247,11 +248,11 @@ def test_closed_form_distribution_is_the_scalar_closed_form_bitwise(period, q_to
 
 
 def test_closed_form_distribution_rejects_register_over_budget():
-    # Raised before any array exists: the sample space alone would take 32 GiB.
-    for q_total in (2**32, 2**31 + 1):
+    # Raised before any array exists: the sample space alone would take 2 to 32 GiB.
+    for q_total in (2**32, 2**31 + 1, 2**29, 2**28 + 1):
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError, match=r"Q <= 2\*\*31"):
+            with pytest.raises(CapacityError, match=r"Q <= 2\*\*28"):
                 closed_form_distribution(closed_form_params(7, q_total))
             _, peak = tracemalloc.get_traced_memory()
         finally:

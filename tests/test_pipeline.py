@@ -169,10 +169,18 @@ def test_shor_factor_rejects_forced_base_outside_step1_range(m):
         shor_factor(91, ShorConfig(forced_m=m))
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_shor_factor_rejects_forced_outcome_without_base(seed):
+    # y = 64 has nonzero probability for some of 15's bases and not for
+    # others, so a drawn base would make the verdict depend on the seed.
+    with pytest.raises(ValueError, match="needs a forced base"):
+        shor_factor(15, ShorConfig(rng_seed=seed, forced_y=64))
+
+
 def test_shor_factor_retries_exhausted():
-    # forced y = 0 never recovers a period, so every retry burns out; the
-    # bases are drawn (this seed draws three units), so no attempt repeats
-    config = ShorConfig(rng_seed=1, forced_y=0, max_outer_retries=3)
+    # nothing is forced, so no attempt repeats; this seed draws three
+    # units (61, 73, 58) whose outcomes (10923, 8192, 0) recover no period
+    config = ShorConfig(rng_seed=5, max_outer_retries=3)
     outcome, trace = shor_factor(91, config)
     assert outcome.kind is OutcomeKind.PERIOD_RECOVERY_FAILED
     assert outcome.factor is None
