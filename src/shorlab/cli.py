@@ -339,8 +339,9 @@ def cmd_distribution(args) -> int:
     if not args.simulate:
         period = numtheory.multiplicative_order(args.m, args.N)
         params = engine.closed_form_params(period, geometry.Q)
-    # The circuit runs first: it checks its budget before allocating, and
-    # the closed form's sin^2 table can take up to 1 GiB past that budget.
+    # The circuit runs first: it decides its budget before anything of
+    # register size exists, and the closed form's sin^2 table is not built
+    # for a circuit that cannot run.
     if args.simulate or args.compare:
         probs = simulated = engine.simulated_distribution(geometry, f).probs
     if not args.simulate:

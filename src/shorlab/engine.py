@@ -35,10 +35,10 @@ class CapacityError(Exception):
 
 
 # Most amplitudes the circuit's rows may hold after the entangler (1 GiB of
-# complex128, before the transform's copies), checked before they exist.
+# complex128, before the transform's copies), checked before the circuit starts.
 CIRCUIT_MAX_AMPLITUDES = 1 << 26
-# Largest register size the closed form accepts, set by memory: its
-# (Q/2 + 1)-entry sin^2 table plus its Q-entry result take 3 GiB at 2**28.
+# Largest register size the closed-form distribution accepts, set by memory:
+# its (Q/2 + 1)-entry sin^2 table plus its Q-entry result take 3 GiB at 2**28.
 CLOSED_FORM_MAX_Q = 1 << 28
 # Entries per batch of the closed form: table entries built from Python
 # floats, and outcomes evaluated, at a time.
@@ -113,25 +113,13 @@ class OutcomeDistribution:
 
 @dataclass(frozen=True)
 class ClosedFormParams:
-    """Decomposition Q = P*q + r with 0 <= r < P, and Q0 = P*q.
-
-    Q must lie within the closed form's memory budget, Q <= 2**28: the
-    sin^2 table and the result take 3 GiB there.  The check runs when the
-    parameters are made, before any array exists.
-    """
+    """Decomposition Q = P*q + r with 0 <= r < P, and Q0 = P*q."""
 
     P: int
     Q: int
     q: int
     r: int
     Q0: int
-
-    def __post_init__(self) -> None:
-        if self.Q > CLOSED_FORM_MAX_Q:
-            raise CapacityError(
-                f"register size {self.Q} exceeds the closed-form budget Q <= 2**28 "
-                "(its sin^2 table and result take 3 GiB there)"
-            )
 
 
 def choose_geometry(n: int) -> RegisterGeometry:
@@ -159,12 +147,7 @@ def check_circuit_budget(rows: int, q_total: int) -> None:
 
 
 def initialize(geometry: RegisterGeometry) -> JointState:
-    """Both registers in |0>: one row, register-2 value 0, unit amplitude at x = 0.
-
-    Raises CapacityError, before the row is allocated, when Q alone is past
-    CIRCUIT_MAX_AMPLITUDES.
-    """
-    check_circuit_budget(1, geometry.Q)
+    """Both registers in |0>: one row, register-2 value 0, unit amplitude at x = 0."""
     rows = np.zeros((1, geometry.Q), dtype=np.complex128)
     rows[0, 0] = 1.0
     return JointState(geometry, np.zeros(1, dtype=np.int64), rows)
@@ -189,8 +172,7 @@ def apply_modexp_entangler(state: JointState, f: ModExpFunction) -> JointState:
     its new register-2 value and keeps its column, never combined with
     another, so the norm is preserved exactly and applying it twice
     restores the state.  On register-2 value 0 it reduces to
-    |x>|0> -> |x>|f(x)>.  Raises CapacityError, before the new rows are
-    allocated, when they would hold more than CIRCUIT_MAX_AMPLITUDES.
+    |x>|0> -> |x>|f(x)>.
     """
     n = f.N
     if state.levels.size and state.levels[-1] >= n:
@@ -202,7 +184,6 @@ def apply_modexp_entangler(state: JointState, f: ModExpFunction) -> JointState:
     present = np.zeros(n, dtype=bool)
     present[targets] = True
     levels = np.flatnonzero(present)
-    check_circuit_budget(levels.size, state.geometry.Q)
     target_row = (np.cumsum(present) - 1)[targets]
     rows = np.zeros((levels.size, state.geometry.Q), dtype=np.complex128)
     rows[target_row, x] = state.rows[row, x]
@@ -254,7 +235,16 @@ def measure_reg1(state: JointState, rng: np.random.Generator) -> tuple[int, Join
 
 
 def period_finding_state(geometry: RegisterGeometry, f: ModExpFunction) -> JointState:
-    """Run the full circuit (init, transform, entangle, transform) and return the state."""
+    """Run the full circuit (init, transform, entangle, transform) and return the state.
+
+    The budget is decided first, before anything of register size exists.
+    From |0>|0>, register 2 ends up holding the distinct values of m**x
+    mod N, and all of them occur among x < N, so an N-entry presence table
+    over the first N entries of the m**x table counts the rows.
+    """
+    present = np.zeros(f.N, dtype=bool)
+    present[f.table(min(geometry.Q, f.N))] = True
+    check_circuit_budget(np.count_nonzero(present), geometry.Q)
     state = initialize(geometry)
     state = apply_qft_reg1(state)
     state = apply_modexp_entangler(state, f)
@@ -333,9 +323,15 @@ def closed_form_distribution(params: ClosedFormParams) -> OutcomeDistribution:
     t = P*y, are -r*y and (P - r)*y mod Q, so each residue (t, tq, tq1) is
     one product y * (c mod Q), below 2**56 at Q <= 2**28.  The outcomes are
     taken SIN2_BATCH at a time and written straight into the result, so
-    the temporaries stay small.
+    the temporaries stay small.  A register past CLOSED_FORM_MAX_Q is
+    refused before the table exists.
     """
     P, Q, r, Q0 = params.P, params.Q, params.r, params.Q0
+    if Q > CLOSED_FORM_MAX_Q:
+        raise CapacityError(
+            f"register size {Q} exceeds the closed-form budget Q <= 2**28 "
+            "(its sin^2 table and result take 3 GiB there)"
+        )
     sin2 = _sin2_table(Q)
 
     def sin2_at(residue: np.ndarray) -> np.ndarray:

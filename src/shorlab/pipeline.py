@@ -215,9 +215,10 @@ def shor_factor(n: int, config: ShorConfig | None = None) -> tuple[StepOutcome, 
     if config.forced_y is not None and config.forced_m is None:
         raise ValueError(f"forced outcome {config.forced_y} needs a forced base to be drawn from")
     geometry = engine.choose_geometry(n)
-    # Every attempt that reaches the circuit needs at least one row of Q
-    # amplitudes: past the budget, only a lucky gcd could end the run.
-    engine.check_circuit_budget(1, geometry.Q)
+    # Every attempt that reaches the circuit has a unit base in [2, N-1],
+    # of order at least 2, so its circuit holds at least two rows of Q
+    # amplitudes: past that budget, only a lucky gcd could end the run.
+    engine.check_circuit_budget(2, geometry.Q)
     trace = FactorizationTrace(N=n, Q=geometry.Q, L=geometry.L)
     outcome = StepOutcome(OutcomeKind.PERIOD_RECOVERY_FAILED)
     # The circuit is deterministic in (geometry, m): an attempt that draws

@@ -241,12 +241,17 @@ def run_limited(cases, limit):
 
 def test_simulation_over_circuit_budget_is_rejected_before_allocating():
     # N = 1003, m = 2 needs 232 rows of Q = 2**20 amplitudes: 3.9 GB.  N =
+    # 4097, m = 2 needs 24 rows of Q = 2**25 and N = 8189, m = 2 needs 774
+    # rows of Q = 2**26, where one row is still within the budget.  N =
     # 8193 needs Q = 2**27, where one row of the circuit (2 GiB) is already
     # past the budget.  The child may map at most 2 GiB, so without the
     # checks each case dies with a MemoryError instead of taking the
     # machine's memory.
     cases = [
         ["distribution", "1003", "2", "--simulate"],
+        ["distribution", "4097", "2", "--simulate"],
+        ["distribution", "8189", "2", "--simulate"],
+        ["montecarlo", "4097", "2", "10"],
         ["distribution", "8193", "2", "--simulate"],
         ["distribution", "8193", "2", "--compare"],
         ["factor", "8193", "--forced-m", "2"],
@@ -257,13 +262,10 @@ def test_simulation_over_circuit_budget_is_rejected_before_allocating():
     assert len(errors) == len(cases)
     assert all("2**26" in line for line in errors)
     assert "232 register-2 rows" in errors[0]
-    # The register-1 transform of |0> and the entangler's Q-length index
-    # arrays, up to its targets, take about 48 MiB at Q = 2**20; the
-    # rejected rows would take 3.6 GiB.
-    assert results[0][1] < 64 << 20
-    # At Q = 2**27 nothing of register size (a bool array would be 128 MiB)
-    # exists before the check; the peaks are first-use imports and caches.
-    assert all(peak < 4 << 20 for _, peak in results[1:])
+    # The rows are counted from an N-entry table of m**x mod N before
+    # anything of register size exists (at Q = 2**20 one row is 16 MiB);
+    # the peaks are first-use imports and caches.
+    assert all(peak < 4 << 20 for _, peak in results)
 
 
 def test_closed_form_over_budget_is_rejected_before_allocating():
@@ -271,6 +273,7 @@ def test_closed_form_over_budget_is_rejected_before_allocating():
     # Q <= 2**28: a 2 GiB sin^2 table and a 4 GiB result.  The child may
     # map at most 1 GiB, so without the check each case dies at once with
     # a MemoryError on the table instead of taking the machine's memory.
+    # --compare runs the circuit first, which names its own budget.
     cases = [
         ["distribution", n, "2", mode]
         for n in ("16385", "20001")
@@ -279,14 +282,17 @@ def test_closed_form_over_budget_is_rejected_before_allocating():
     results, errors = run_limited(cases, 1 << 30)
     assert [code for code, _ in results] == [2] * len(cases)
     assert len(errors) == len(cases)
-    assert all("536870912" in line and "Q <= 2**28" in line for line in errors)
+    budgets = {"--closed-form": "Q <= 2**28", "--compare": "2**26"}
+    for (*_, mode), line in zip(cases, errors):
+        assert "536870912" in line and budgets[mode] in line
     assert all(peak < 1 << 20 for _, peak in results)
 
 
 @pytest.mark.parametrize("mode", ["--closed-form", "--compare"])
 def test_distribution_over_closed_form_budget_is_rejected(capsys, mode):
-    # N = 46341 needs Q = 2**32, past the closed form's Q <= 2**28.
-    # The budget check runs before any allocation, the circuit included.
+    # N = 46341 needs Q = 2**32, past the closed form's Q <= 2**28 and the
+    # circuit's 2**26 amplitudes; --compare runs the circuit first.  Each
+    # budget is checked before any allocation.
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, "distribution", "46341", "2", mode)
@@ -294,7 +300,8 @@ def test_distribution_over_closed_form_budget_is_rejected(capsys, mode):
     finally:
         tracemalloc.stop()
     assert code == 2 and out == ""
-    assert "4294967296" in err and "Q <= 2**28" in err
+    budget = {"--closed-form": "Q <= 2**28", "--compare": "2**26"}[mode]
+    assert "4294967296" in err and budget in err
     assert peak < 1 << 20
 
 
@@ -530,6 +537,9 @@ REJECTED_INPUTS = [
     (("factor", "8193", "--seed", "1"), "2**26"),
     (("factor", "8193", "--seed", "6"), "2**26"),
     (("factor", "8193", "--forced-m", "3"), "2**26"),
+    # At Q = 2**26 one row fits, but a unit base in [2, N-1] has order at
+    # least 2, so every circuit holds two rows: the run is rejected too.
+    (("factor", "8189", "--seed", "3"), "2**26"),
 ]
 
 

@@ -4,6 +4,7 @@ transform correctness against the dense matrix, and measurement statistics."""
 import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -258,6 +259,39 @@ def test_closed_form_distribution_rejects_register_over_budget():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def test_closed_form_prob_answers_past_the_distribution_budget():
+    # The scalar builds no table, so the distribution's memory budget does
+    # not bound it.  At y = 0 (t = 0) it is the exact ratio of integers.
+    for q_total in (2**29, 2**32):
+        params = closed_form_params(7, q_total)
+        P, Q, r, Q0 = params.P, params.Q, params.r, params.Q0
+        exact = Fraction(r * (Q0 + P) ** 2 + (P - r) * Q0**2, Q * Q * P * P)
+        got = closed_form_prob(0, params)
+        assert abs(Fraction(got) - exact) <= Fraction(math.ulp(got))
+        assert 0.0 <= closed_form_prob(3, params) <= 1.0
+
+
+def test_circuit_budget_counts_exactly_the_register2_rows(monkeypatch):
+    # The circuit holds P rows of Q amplitudes, so a budget of P*Q runs it
+    # and P*Q - 1 refuses it, naming the P rows, for every unit pair of
+    # odd composite N <= 63.
+    primes = set(support.sieve_primes(64))
+    for n in range(9, 64, 2):
+        if n in primes:
+            continue
+        geometry = choose_geometry(n)
+        for m in range(1, n):
+            if math.gcd(m, n) != 1:
+                continue
+            period = support.brute_order(m, n)
+            f = ModExpFunction(m, n)
+            monkeypatch.setattr(engine, "CIRCUIT_MAX_AMPLITUDES", period * geometry.Q)
+            assert period_finding_state(geometry, f).levels.size == period, (n, m)
+            monkeypatch.setattr(engine, "CIRCUIT_MAX_AMPLITUDES", period * geometry.Q - 1)
+            with pytest.raises(CapacityError, match=f"needs {period} register-2 rows"):
+                period_finding_state(geometry, f)
 
 
 def test_simulation_agrees_with_closed_form():
