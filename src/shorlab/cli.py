@@ -336,16 +336,14 @@ def cmd_factor(args) -> int:
 def cmd_distribution(args) -> int:
     geometry = engine.choose_geometry(args.N)
     f = engine.ModExpFunction(args.m, args.N)
-    if not args.simulate:
-        period = numtheory.multiplicative_order(args.m, args.N)
-        params = engine.closed_form_params(period, geometry.Q)
     # The circuit runs first: it decides its budget before anything of
-    # register size exists, and the closed form's sin^2 table is not built
-    # for a circuit that cannot run.
+    # register size exists, and neither the order loop nor the closed
+    # form's sin^2 table runs for a circuit that cannot run.
     if args.simulate or args.compare:
         probs = simulated = engine.simulated_distribution(geometry, f).probs
     if not args.simulate:
-        probs = closed = engine.closed_form_distribution(params).probs
+        period = numtheory.multiplicative_order(args.m, args.N)
+        probs = closed = engine.closed_form_distribution(period, geometry.Q).probs
     if args.compare:
         payload = {
             "manifest": _manifest(args, {"N": args.N, "m": args.m, "mode": "compare"}),
@@ -400,8 +398,7 @@ def _replicate_fields() -> list[dict]:
     candidates = {t[0]: list(t) for t in attempt.convergent_tests}
 
     expansion = contfrac.cf_expand(EXAMPLE["y"], trace.Q)
-    params = engine.closed_form_params(EXAMPLE["period"], trace.Q)
-    prob_closed = engine.closed_form_prob(EXAMPLE["y"], params)
+    prob_closed = engine.closed_form_prob(EXAMPLE["y"], EXAMPLE["period"], trace.Q)
     simulated = engine.simulated_distribution(
         engine.choose_geometry(EXAMPLE["N"]),
         engine.ModExpFunction(EXAMPLE["m"], EXAMPLE["N"]),

@@ -27,13 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import DEFAULT_MAX_N, gcd_euclid, smallest_magnitude_residue
+from .numtheory import gcd_euclid, smallest_magnitude_residue
 
 
 class CapacityError(Exception):
     """Input exceeds the configured desk-scale size cap."""
 
 
+# Desk-scale cap on the modulus, keeping Q = O(N^2) registers and dense
+# distributions materializable.  Not a correctness limit: integer math is exact.
+DEFAULT_MAX_N = 10**6
 # Most amplitudes the circuit's rows may hold after the entangler (1 GiB of
 # complex128, before the transform's copies), checked before the circuit starts.
 CIRCUIT_MAX_AMPLITUDES = 1 << 26
@@ -94,7 +97,6 @@ class JointState:
     ``rows`` is complex128 of shape (len(levels), Q).
     """
 
-    geometry: RegisterGeometry
     levels: np.ndarray
     rows: np.ndarray
 
@@ -109,17 +111,6 @@ class OutcomeDistribution:
     """Measurement distribution over register-1 outcomes y in {0..Q-1}."""
 
     probs: np.ndarray
-
-
-@dataclass(frozen=True)
-class ClosedFormParams:
-    """Decomposition Q = P*q + r with 0 <= r < P, and Q0 = P*q."""
-
-    P: int
-    Q: int
-    q: int
-    r: int
-    Q0: int
 
 
 def choose_geometry(n: int) -> RegisterGeometry:
@@ -150,7 +141,7 @@ def initialize(geometry: RegisterGeometry) -> JointState:
     """Both registers in |0>: one row, register-2 value 0, unit amplitude at x = 0."""
     rows = np.zeros((1, geometry.Q), dtype=np.complex128)
     rows[0, 0] = 1.0
-    return JointState(geometry, np.zeros(1, dtype=np.int64), rows)
+    return JointState(np.zeros(1, dtype=np.int64), rows)
 
 
 def apply_qft_reg1(state: JointState) -> JointState:
@@ -161,8 +152,8 @@ def apply_qft_reg1(state: JointState) -> JointState:
     sign convention, so the transform is sqrt(Q) * ifft along the rows;
     the test suite pins it against the dense unitary matrix.
     """
-    rows = np.fft.ifft(state.rows, axis=1) * math.sqrt(state.geometry.Q)
-    return JointState(state.geometry, state.levels, rows)
+    rows = np.fft.ifft(state.rows, axis=1) * math.sqrt(state.rows.shape[1])
+    return JointState(state.levels, rows)
 
 
 def apply_modexp_entangler(state: JointState, f: ModExpFunction) -> JointState:
@@ -178,16 +169,17 @@ def apply_modexp_entangler(state: JointState, f: ModExpFunction) -> JointState:
     if state.levels.size and state.levels[-1] >= n:
         raise ValueError(f"register-2 value {state.levels[-1]} out of range for modulus {n}")
     row, x = np.nonzero(state.rows)
-    targets = (f.table(state.geometry.Q)[x] - state.levels[row]) % n
+    q_total = state.rows.shape[1]
+    targets = (f.table(q_total)[x] - state.levels[row]) % n
     # A presence table over the N register-2 values gives the sorted
     # distinct targets, and its running count each target's row.
     present = np.zeros(n, dtype=bool)
     present[targets] = True
     levels = np.flatnonzero(present)
     target_row = (np.cumsum(present) - 1)[targets]
-    rows = np.zeros((levels.size, state.geometry.Q), dtype=np.complex128)
+    rows = np.zeros((levels.size, q_total), dtype=np.complex128)
     rows[target_row, x] = state.rows[row, x]
-    return JointState(state.geometry, levels, rows)
+    return JointState(levels, rows)
 
 
 def reg1_distribution(state: JointState) -> OutcomeDistribution:
@@ -225,7 +217,7 @@ def collapse_reg1(state: JointState, y0: int) -> JointState:
     column = state.rows[:, y0]
     rows = np.zeros_like(state.rows)
     rows[:, y0] = column / math.sqrt(float(_probabilities(column).sum()))
-    return JointState(state.geometry, state.levels, rows)
+    return JointState(state.levels, rows)
 
 
 def measure_reg1(state: JointState, rng: np.random.Generator) -> tuple[int, JointState]:
@@ -256,12 +248,12 @@ def simulated_distribution(geometry: RegisterGeometry, f: ModExpFunction) -> Out
     return reg1_distribution(period_finding_state(geometry, f))
 
 
-def closed_form_params(period: int, q_total: int) -> ClosedFormParams:
-    """Split Q = P*q + r, 0 <= r < P, and record Q0 = P*q."""
-    if period < 1 or q_total < 1:
+def _split(P: int, Q: int) -> tuple[int, int, float]:
+    """(q, r, p0): Q = P*q + r with 0 <= r < P, and p0 the probability at t = 0."""
+    if P < 1 or Q < 1:
         raise ValueError("period and register size must be >= 1")
-    q, r = divmod(q_total, period)
-    return ClosedFormParams(P=period, Q=q_total, q=q, r=r, Q0=period * q)
+    q, r = divmod(Q, P)
+    return q, r, (r * (P * q + P) ** 2 + (P - r) * (P * q) ** 2) / (Q * Q * P * P)
 
 
 def _sin2_pi_ratio(num: int, den: int) -> float:
@@ -271,25 +263,26 @@ def _sin2_pi_ratio(num: int, den: int) -> float:
     return math.sin(math.pi * smallest_magnitude_residue(num, den) / den) ** 2
 
 
-def closed_form_prob(y: int, params: ClosedFormParams) -> float:
-    """Probability of measuring y, from the two-branch closed form.
+def closed_form_prob(y: int, P: int, Q: int) -> float:
+    """Probability of measuring y, from the two-branch closed form for
+    period P and register size Q = P*q + r, 0 <= r < P.
 
     With t = {P*y}_Q (smallest-magnitude residue):
 
       t != 0:  [r*sin^2(pi*t*(q+1)/Q) + (P-r)*sin^2(pi*t*q/Q)]
                  / (Q^2 * sin^2(pi*t/Q))
-      t == 0:  [r*(Q0+P)^2 + (P-r)*Q0^2] / (Q^2 * P^2)
+      t == 0:  [r*(P*q+P)^2 + (P-r)*(P*q)^2] / (Q^2 * P^2)
 
     All sine arguments are integer multiples of pi/Q and are reduced
     exactly before evaluation; unreduced arguments near N*Q would cost
     ~10 digits of precision.
     """
-    P, Q, q, r, Q0 = params.P, params.Q, params.q, params.r, params.Q0
+    q, r, p0 = _split(P, Q)
     if not 0 <= y < Q:
         raise ValueError(f"outcome {y} outside the sample space of size {Q}")
     t = smallest_magnitude_residue(P * y, Q)
     if t == 0:
-        return (r * (Q0 + P) ** 2 + (P - r) * Q0**2) / (Q * Q * P * P)
+        return p0
     numerator = r * _sin2_pi_ratio(t * (q + 1), Q) + (P - r) * _sin2_pi_ratio(t * q, Q)
     return numerator / (Q * Q * _sin2_pi_ratio(t, Q))
 
@@ -312,8 +305,9 @@ def _sin2_table(den: int) -> np.ndarray:
     return table
 
 
-def closed_form_distribution(params: ClosedFormParams) -> OutcomeDistribution:
-    """The closed form over the whole sample space, from int64 residues.
+def closed_form_distribution(P: int, Q: int) -> OutcomeDistribution:
+    """The closed form for period P over the whole sample space of size Q,
+    from int64 residues.
 
     Bit for bit what ``closed_form_prob`` gives at each y, in the same
     operation order.  Every sine argument is pi*k/Q for an integer k that
@@ -326,7 +320,7 @@ def closed_form_distribution(params: ClosedFormParams) -> OutcomeDistribution:
     the temporaries stay small.  A register past CLOSED_FORM_MAX_Q is
     refused before the table exists.
     """
-    P, Q, r, Q0 = params.P, params.Q, params.r, params.Q0
+    _, r, p0 = _split(P, Q)
     if Q > CLOSED_FORM_MAX_Q:
         raise CapacityError(
             f"register size {Q} exceeds the closed-form budget Q <= 2**28 "
@@ -341,7 +335,7 @@ def closed_form_distribution(params: ClosedFormParams) -> OutcomeDistribution:
         return sin2[residue]
 
     # (IEEE products commute, so sin2 * r is bit for bit r * sin2.)
-    probs = np.full(Q, (r * (Q0 + P) ** 2 + (P - r) * Q0**2) / (Q * Q * P * P))
+    probs = np.full(Q, p0)
     for start in range(0, Q, SIN2_BATCH):
         y = np.arange(start, min(start + SIN2_BATCH, Q), dtype=np.int64)
         t, tq, tq1 = (y * (c % Q) for c in (P, r, P - r))

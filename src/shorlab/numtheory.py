@@ -11,10 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Desk-scale cap: keeps Q = O(N^2) register sizes and dense distributions
-# materializable.  Not a correctness limit (all integer math is exact).
-DEFAULT_MAX_N = 10**6
-
 
 def gcd_euclid(a: int, b: int) -> int:
     """Greatest common divisor of two non-negative integers by Euclid's algorithm."""

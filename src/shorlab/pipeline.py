@@ -385,8 +385,9 @@ def monte_carlo_step2(n: int, m: int, trials: int, seed: int) -> MonteCarloResul
     if trials < 1:
         raise ValueError("trials must be >= 1")
     geometry = engine.choose_geometry(n)
-    period = numtheory.multiplicative_order(m, n)
+    # The circuit checks its budget before the order loop's up to N - 1 steps.
     dist = engine.simulated_distribution(geometry, engine.ModExpFunction(m, n))
+    period = numtheory.multiplicative_order(m, n)
     cumulative = np.cumsum(dist.probs)
     hits = np.zeros(geometry.Q, dtype=np.int64)
     # Every draw comes from trial_uniform, the function that replays a

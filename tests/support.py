@@ -164,7 +164,7 @@ def state_from_dict(geometry, amplitudes) -> engine.JointState:
     rows = np.zeros((levels.size, geometry.Q), dtype=np.complex128)
     for (x, v), amp in amplitudes.items():
         rows[np.searchsorted(levels, v), x] = amp
-    return engine.JointState(geometry, levels, rows)
+    return engine.JointState(levels, rows)
 
 
 def amplitude_map(state) -> dict[tuple[int, int], complex]:
@@ -179,7 +179,7 @@ def amplitude_map(state) -> dict[tuple[int, int], complex]:
 def state_as_slices(state) -> dict[int, np.ndarray]:
     slices: dict[int, np.ndarray] = {}
     for (x, v), amp in amplitude_map(state).items():
-        slices.setdefault(v, np.zeros(state.geometry.Q, dtype=np.complex128))[x] = amp
+        slices.setdefault(v, np.zeros(state.rows.shape[1], dtype=np.complex128))[x] = amp
     return slices
 
 
@@ -203,9 +203,9 @@ def unique_entangler(state, f) -> engine.JointState:
         dtype=np.int64,
     )
     levels, target_row = np.unique(targets, return_inverse=True)
-    rows = np.zeros((levels.size, state.geometry.Q), dtype=np.complex128)
+    rows = np.zeros((levels.size, state.rows.shape[1]), dtype=np.complex128)
     rows[target_row, x] = state.rows[row, x]
-    return engine.JointState(state.geometry, levels, rows)
+    return engine.JointState(levels, rows)
 
 
 def naive_monte_carlo_histogram(n: int, m: int, trials: int, seed: int) -> dict[str, int]:

@@ -20,7 +20,6 @@ from shorlab.engine import (
     ModExpFunction,
     choose_geometry,
     closed_form_distribution,
-    closed_form_params,
     closed_form_prob,
     simulated_distribution,
 )
@@ -84,7 +83,7 @@ def test_criterion_02_probability_value(capsys):
     reference = 0.3189335551e-6  # the lecture's truncated ten-digit print
     printed = Fraction(repr(reference))  # exactly 3189335551 * 10^-16
     last_digit = Fraction(1, 10**16)
-    value = closed_form_prob(13453, closed_form_params(6, 16384))
+    value = closed_form_prob(13453, 6, 16384)
     above_print = (Fraction(value) - printed) / last_digit
     digits_ok = 0 <= above_print < 1
 
@@ -129,7 +128,7 @@ def test_criterion_03_expansion_table(capsys):
 def test_criterion_04_exact_divisor_distribution(capsys):
     geometry = choose_geometry(15)
     simulated = simulated_distribution(geometry, ModExpFunction(2, 15))
-    closed = closed_form_distribution(closed_form_params(4, geometry.Q))
+    closed = closed_form_distribution(4, geometry.Q)
     peaks = {0, 64, 128, 192}
     ok = True
     for probs in (simulated.probs, closed.probs):
@@ -150,7 +149,7 @@ def test_criterion_05_simulation_matches_closed_form(capsys):
         geometry = choose_geometry(n)
         period = multiplicative_order(m, n)
         simulated = simulated_distribution(geometry, ModExpFunction(m, n))
-        closed = closed_form_distribution(closed_form_params(period, geometry.Q))
+        closed = closed_form_distribution(period, geometry.Q)
         gap = float(np.max(np.abs(simulated.probs - closed.probs)))
         worst = max(worst, gap)
         ok = ok and gap <= 1e-9
@@ -172,16 +171,15 @@ def test_criterion_06_probability_floor_and_aggregate_bound(capsys):
     for n, m in support.PAIRS:
         geometry = choose_geometry(n)
         period = multiplicative_order(m, n)
-        params = closed_form_params(period, geometry.Q)
         damping = (1.0 - 1.0 / n) ** 2
         floor = 4.0 / math.pi**2 / period * damping
         cutoff = period / 2.0 * (1.0 - 1.0 / n)
         for y in range(geometry.Q):
             t = smallest_magnitude_residue(period * y, geometry.Q)
             if 0 < abs(t) <= cutoff:
-                ok = ok and closed_form_prob(y, params) >= floor - 1e-15
+                ok = ok and closed_form_prob(y, period, geometry.Q) >= floor - 1e-15
         aggregate = sum(
-            closed_form_prob(y, params)
+            closed_form_prob(y, period, geometry.Q)
             for y in support.bijection_set(period, geometry.Q)
             if math.gcd(d_from_y(period, geometry.Q, y), period) == 1
         )

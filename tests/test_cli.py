@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import support
-from shorlab import cli
-from shorlab.engine import closed_form_distribution, closed_form_params, closed_form_prob
+from shorlab import cli, numtheory
+from shorlab.engine import closed_form_distribution, closed_form_prob
 
 
 def run_cli(capsys, *argv):
@@ -135,12 +135,11 @@ def test_distribution_csv_round_trips_probabilities(capsys, tmp_path):
     assert len(rows) == 16384
     assert abs(sum(rows.values()) - 1.0) < 1e-9
     # serialized with enough digits to round-trip the double exactly
-    params = closed_form_params(6, 16384)
-    expected = closed_form_prob(13453, params)
+    expected = closed_form_prob(13453, 6, 16384)
     assert rows[13453] == expected
     assert f"{rows[13453]:.15e}".startswith("3.189335551")
     # byte for byte the naive per-row writer over the scalar closed form
-    assert text == support.naive_csv([closed_form_prob(y, params) for y in range(16384)])
+    assert text == support.naive_csv([closed_form_prob(y, 6, 16384) for y in range(16384)])
 
 
 def test_write_csv_matches_naive_writer(capsys, tmp_path):
@@ -173,7 +172,7 @@ def test_write_csv_formats_a_million_values_as_format_does(tmp_path):
     edges = [0.0, -0.0, 1.0, 1.5, 2.0, 1e16, 1e300, np.inf, -np.inf, np.nan, -0.25, 1e-280]
     subnormals = [5e-324, 2.2250738585072014e-308 / 3, np.nextafter(2.2250738585072014e-308, 0)]
     closed_forms = [
-        np.unique(closed_form_distribution(closed_form_params(period, 1 << bits)).probs)
+        np.unique(closed_form_distribution(period, 1 << bits).probs)
         for period, bits in ((7, 16), (24, 17), (45, 18), (23, 20))
     ]
     values = np.concatenate(
@@ -193,7 +192,7 @@ def test_closed_form_csv_traced_peaks_at_q_2_20(tmp_path):
     # alone is 8 MiB, the sin^2 table 4 MiB more.
     tracemalloc.start()
     try:
-        probs = closed_form_distribution(closed_form_params(23, 1 << 20)).probs
+        probs = closed_form_distribution(23, 1 << 20).probs
         _, closed_form_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         cli._write_csv(probs, str(tmp_path / "q20.csv"))
@@ -266,6 +265,19 @@ def test_simulation_over_circuit_budget_is_rejected_before_allocating():
     # anything of register size exists (at Q = 2**20 one row is 16 MiB);
     # the peaks are first-use imports and caches.
     assert all(peak < 4 << 20 for _, peak in results)
+
+
+def test_circuit_budget_is_checked_before_the_order_loop(capsys, monkeypatch):
+    # N = 4097, m = 2 needs 24 rows of Q = 2**25, past the circuit's budget.
+    # The brute-force order loop (up to N - 1 steps) runs only for a circuit
+    # that fits.
+    def order_loop(m, n):
+        raise AssertionError(f"order of {m} mod {n} computed before the circuit's budget")
+
+    monkeypatch.setattr(numtheory, "multiplicative_order", order_loop)
+    for argv in (("montecarlo", "4097", "2", "10"), ("distribution", "4097", "2", "--compare")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "2**26" in err, argv
 
 
 def test_closed_form_over_budget_is_rejected_before_allocating():

@@ -19,7 +19,6 @@ from shorlab.engine import (
     apply_qft_reg1,
     choose_geometry,
     closed_form_distribution,
-    closed_form_params,
     closed_form_prob,
     collapse_reg1,
     initialize,
@@ -140,7 +139,7 @@ def test_entangler_matches_the_unique_oracle():
             shape = (len(occupied), geometry.Q)
             rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             rows[rng.random(shape) < 0.5] = 0.0
-            state = engine.JointState(geometry, np.array(occupied, dtype=np.int64), rows)
+            state = engine.JointState(np.array(occupied, dtype=np.int64), rows)
             got = apply_modexp_entangler(state, f)
             want = support.unique_entangler(state, f)
             assert got.levels.tolist() == want.levels.tolist()
@@ -176,51 +175,50 @@ def test_simulated_distribution_worked_example_value():
 
 
 def test_closed_form_params():
-    p = closed_form_params(6, 16384)
-    assert (p.q, p.r, p.Q0) == (2730, 4, 16380)
-    assert closed_form_params(4, 256) == engine.ClosedFormParams(4, 256, 64, 0, 256)
-    p1 = closed_form_params(1, 512)
-    assert (p1.q, p1.r, p1.Q0) == (512, 0, 512)
-    with pytest.raises(ValueError):
-        closed_form_params(0, 16)
+    # The t = 0 value pins the split Q = P*q + r: q = 2730 and r = 4, then
+    # r = 0, then q = Q.
+    assert closed_form_prob(0, 6, 16384) == 44739244 / 16384**2
+    assert closed_form_prob(0, 4, 256) == 0.25
+    assert closed_form_prob(0, 1, 512) == 1.0
+    for period, q_total in ((0, 16), (6, 0)):
+        with pytest.raises(ValueError):
+            closed_form_prob(0, period, q_total)
+        with pytest.raises(ValueError):
+            closed_form_distribution(period, q_total)
 
 
 def test_closed_form_prob_worked_example():
-    params = closed_form_params(6, 16384)
-    value = closed_form_prob(13453, params)
+    value = closed_form_prob(13453, 6, 16384)
     assert abs(value - PROB_13453) / PROB_13453 < 1e-12
     # agrees with the truncated 10-digit reference print
     assert f"{value:.15e}"[:11] == "3.189335551"
 
 
 def test_closed_form_prob_zero_outcome():
-    params = closed_form_params(6, 16384)
-    assert closed_form_prob(0, params) == 44739244 / 16384**2
+    assert closed_form_prob(0, 6, 16384) == 44739244 / 16384**2
 
 
 def test_closed_form_prob_validates_range():
-    params = closed_form_params(6, 16384)
     with pytest.raises(ValueError):
-        closed_form_prob(16384, params)
+        closed_form_prob(16384, 6, 16384)
 
 
 def test_closed_form_exact_divisor_case():
     # period 4 divides 256: exactly 1/4 on multiples of 64, zero elsewhere
-    params = closed_form_params(4, 256)
     for y in range(256):
-        p = closed_form_prob(y, params)
+        p = closed_form_prob(y, 4, 256)
         if y % 64 == 0:
             assert abs(p - 0.25) < 1e-12
         else:
             assert p <= 1e-12
-    dist = closed_form_distribution(params)
+    dist = closed_form_distribution(4, 256)
     assert np.count_nonzero(dist.probs > 1e-12) == 4
 
 
 def test_closed_form_distribution_normalization_and_point_mass():
-    dist = closed_form_distribution(closed_form_params(6, 16384))
+    dist = closed_form_distribution(6, 16384)
     assert abs(dist.probs.sum() - 1.0) < 1e-9
-    unit = closed_form_distribution(closed_form_params(1, 16))
+    unit = closed_form_distribution(1, 16)
     assert unit.probs[0] == 1.0 and unit.probs.sum() == 1.0
 
 
@@ -243,9 +241,8 @@ def test_closed_form_distribution_normalization_and_point_mass():
     ],
 )
 def test_closed_form_distribution_is_the_scalar_closed_form_bitwise(period, q_total):
-    params = closed_form_params(period, q_total)
-    scalar = np.array([closed_form_prob(y, params) for y in range(q_total)])
-    assert np.array_equal(closed_form_distribution(params).probs, scalar)
+    scalar = np.array([closed_form_prob(y, period, q_total) for y in range(q_total)])
+    assert np.array_equal(closed_form_distribution(period, q_total).probs, scalar)
 
 
 def test_closed_form_distribution_rejects_register_over_budget():
@@ -254,7 +251,7 @@ def test_closed_form_distribution_rejects_register_over_budget():
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match=r"Q <= 2\*\*28"):
-                closed_form_distribution(closed_form_params(7, q_total))
+                closed_form_distribution(7, q_total)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -265,12 +262,13 @@ def test_closed_form_prob_answers_past_the_distribution_budget():
     # The scalar builds no table, so the distribution's memory budget does
     # not bound it.  At y = 0 (t = 0) it is the exact ratio of integers.
     for q_total in (2**29, 2**32):
-        params = closed_form_params(7, q_total)
-        P, Q, r, Q0 = params.P, params.Q, params.r, params.Q0
+        P, Q = 7, q_total
+        q, r = divmod(Q, P)
+        Q0 = P * q
         exact = Fraction(r * (Q0 + P) ** 2 + (P - r) * Q0**2, Q * Q * P * P)
-        got = closed_form_prob(0, params)
+        got = closed_form_prob(0, P, Q)
         assert abs(Fraction(got) - exact) <= Fraction(math.ulp(got))
-        assert 0.0 <= closed_form_prob(3, params) <= 1.0
+        assert 0.0 <= closed_form_prob(3, P, Q) <= 1.0
 
 
 def test_circuit_budget_counts_exactly_the_register2_rows(monkeypatch):
@@ -299,7 +297,7 @@ def test_simulation_agrees_with_closed_form():
         geometry = choose_geometry(n)
         period = multiplicative_order(m, n)
         simulated = simulated_distribution(geometry, ModExpFunction(m, n))
-        closed = closed_form_distribution(closed_form_params(period, geometry.Q))
+        closed = closed_form_distribution(period, geometry.Q)
         assert np.max(np.abs(simulated.probs - closed.probs)) < 1e-9
         assert abs(simulated.probs.sum() - 1.0) < 1e-9
         assert abs(closed.probs.sum() - 1.0) < 1e-9
@@ -315,7 +313,7 @@ def test_simulation_agrees_with_closed_form_every_odd_composite():
         geometry = choose_geometry(n)
         period = multiplicative_order(2, n)
         simulated = simulated_distribution(geometry, ModExpFunction(2, n))
-        closed = closed_form_distribution(closed_form_params(period, geometry.Q))
+        closed = closed_form_distribution(period, geometry.Q)
         assert np.max(np.abs(simulated.probs - closed.probs)) <= 1e-9, n
 
 
@@ -325,14 +323,13 @@ def test_probability_floor_over_small_residues():
     for n, m in support.PAIRS:
         geometry = choose_geometry(n)
         period = multiplicative_order(m, n)
-        params = closed_form_params(period, geometry.Q)
         damping = (1.0 - 1.0 / n) ** 2
         floor_main = 4.0 / math.pi**2 / period * damping
         floor_zero = damping / period
         cutoff = period / 2.0 * (1.0 - 1.0 / n)
         for y in range(geometry.Q):
             t = smallest_magnitude_residue(period * y, geometry.Q)
-            p = closed_form_prob(y, params)
+            p = closed_form_prob(y, period, geometry.Q)
             if t == 0:
                 assert p >= floor_zero - 1e-15
             elif abs(t) <= cutoff:
@@ -343,31 +340,30 @@ def test_closed_form_matches_direct_geometric_sum():
     # The sin^2 form equals the direct |geometric series|^2 evaluation.
     # Below ~1e-10 the direct sum is pure cancellation noise in double
     # precision, so the comparison switches from relative to absolute there.
-    def direct_prob(y, params):
-        w = cmath.exp(2j * math.pi / params.Q)
-        s_long = sum(w ** (params.P * y * x1 % params.Q) for x1 in range(params.q + 1))
-        s_short = sum(w ** (params.P * y * x1 % params.Q) for x1 in range(params.q))
-        return (params.r * abs(s_long) ** 2 + (params.P - params.r) * abs(s_short) ** 2) / params.Q**2
+    def direct_prob(y, P, Q):
+        q, r = divmod(Q, P)
+        w = cmath.exp(2j * math.pi / Q)
+        s_long = sum(w ** (P * y * x1 % Q) for x1 in range(q + 1))
+        s_short = sum(w ** (P * y * x1 % Q) for x1 in range(q))
+        return (r * abs(s_long) ** 2 + (P - r) * abs(s_short) ** 2) / Q**2
 
-    def compare(y, params):
-        expected = direct_prob(y, params)
-        got = closed_form_prob(y, params)
+    def compare(y, P, Q):
+        expected = direct_prob(y, P, Q)
+        got = closed_form_prob(y, P, Q)
         if expected >= 1e-10:
             assert abs(got - expected) <= 1e-6 * expected, (y, got, expected)
         else:
             assert abs(got - expected) <= 1e-14, (y, got, expected)
 
-    params = closed_form_params(4, 256)
     for y in range(256):
-        if (params.P * y) % params.Q != 0:
-            compare(y, params)
+        if (4 * y) % 256 != 0:
+            compare(y, 4, 256)
 
-    params = closed_form_params(6, 16384)
     rng = np.random.default_rng(9)
     samples = set(int(v) for v in rng.integers(0, 16384, size=60)) | {13453}
     for y in samples:
-        if (params.P * y) % params.Q != 0:
-            compare(y, params)
+        if (6 * y) % 16384 != 0:
+            compare(y, 6, 16384)
 
 
 def test_collapse_on_forced_outcome():
@@ -449,10 +445,9 @@ def test_inverse_cdf_edges_land_on_possible_outcomes():
 
 
 def test_distribution_partition_merge_matches_serial():
-    params = closed_form_params(6, 16384)
-    serial = closed_form_distribution(params).probs
+    serial = closed_form_distribution(6, 16384).probs
     chunks = [
-        np.array([closed_form_prob(y, params) for y in range(start, start + 4096)])
+        np.array([closed_form_prob(y, 6, 16384) for y in range(start, start + 4096)])
         for start in range(0, 16384, 4096)
     ]
     merged = np.concatenate(chunks)

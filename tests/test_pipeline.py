@@ -8,7 +8,7 @@ import pytest
 
 import support
 from shorlab import engine, pipeline
-from shorlab.engine import choose_geometry, closed_form_params, closed_form_prob
+from shorlab.engine import choose_geometry, closed_form_prob
 from shorlab.numtheory import (
     euler_totient,
     gcd_euclid,
@@ -304,9 +304,8 @@ def test_aggregate_probability_bound():
     for n, m in support.PAIRS:
         geometry = choose_geometry(n)
         period = multiplicative_order(m, n)
-        params = closed_form_params(period, geometry.Q)
         total = sum(
-            closed_form_prob(y, params)
+            closed_form_prob(y, period, geometry.Q)
             for y in support.bijection_set(period, geometry.Q)
             if math.gcd(d_from_y(period, geometry.Q, y), period) == 1
         )
