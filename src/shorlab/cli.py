@@ -263,7 +263,11 @@ def _write_csv(probs, out_path: str | None) -> None:
     width = -(-len(str(max(values.size - 1, 0))) // 4)
     row = np.dtype([("y", np.uint32, (width,)), ("cell", np.uint32, (8,))])
     rows = np.empty(min(values.size, CSV_CHUNK), dtype=row)
-    with open(out_path, "wb") if out_path else contextlib.nullcontext() as handle:
+    try:
+        sink = open(out_path, "wb") if out_path else contextlib.nullcontext()
+    except OSError as exc:
+        raise ValueError(f"cannot write the CSV to {out_path}: {exc.strerror}") from None
+    with sink as handle:
         write = handle.write if handle else lambda data: sys.stdout.write(data.decode("ascii"))
         write(b"y,prob\n")
         for start in range(0, values.size, CSV_CHUNK):
@@ -334,23 +338,23 @@ def cmd_factor(args) -> int:
 
 
 def cmd_distribution(args) -> int:
-    geometry = engine.choose_geometry(args.N)
+    q_total = engine.register_size(args.N)
     f = engine.ModExpFunction(args.m, args.N)
     # The circuit runs first: it decides its budget before anything of
     # register size exists, and neither the order loop nor the closed
     # form's sin^2 table runs for a circuit that cannot run.
     if args.simulate or args.compare:
-        probs = simulated = engine.simulated_distribution(geometry, f).probs
+        probs = simulated = engine.simulated_distribution(f).probs
     if not args.simulate:
         period = numtheory.multiplicative_order(args.m, args.N)
-        probs = closed = engine.closed_form_distribution(period, geometry.Q).probs
+        probs = closed = engine.closed_form_distribution(period, q_total).probs
     if args.compare:
         payload = {
             "manifest": _manifest(args, {"N": args.N, "m": args.m, "mode": "compare"}),
             "N": args.N,
             "m": args.m,
             "P": period,
-            "Q": geometry.Q,
+            "Q": q_total,
             "max_abs_discrepancy": float(np.max(np.abs(simulated - closed))),
             "closed_form_sum": float(closed.sum()),
             "simulated_sum": float(simulated.sum()),
@@ -399,10 +403,7 @@ def _replicate_fields() -> list[dict]:
 
     expansion = contfrac.cf_expand(EXAMPLE["y"], trace.Q)
     prob_closed = engine.closed_form_prob(EXAMPLE["y"], EXAMPLE["period"], trace.Q)
-    simulated = engine.simulated_distribution(
-        engine.choose_geometry(EXAMPLE["N"]),
-        engine.ModExpFunction(EXAMPLE["m"], EXAMPLE["N"]),
-    )
+    simulated = engine.simulated_distribution(engine.ModExpFunction(EXAMPLE["m"], EXAMPLE["N"]))
     prob_simulated = float(simulated.probs[EXAMPLE["y"]])
     d_y = pipeline.d_from_y(EXAMPLE["period"], EXAMPLE["Q"], EXAMPLE["y"])
     half_power = numtheory.mod_pow(EXAMPLE["m"], EXAMPLE["period"] // 2, EXAMPLE["N"])

@@ -49,15 +49,6 @@ SIN2_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
-class RegisterGeometry:
-    """Two L-qubit registers sized for the modulus N: Q = 2**L, N^2 <= Q < 2N^2."""
-
-    N: int
-    Q: int
-    L: int
-
-
-@dataclass(frozen=True)
 class ModExpFunction:
     """The entangler's classical core a -> m**a mod N, periodic in the order of m."""
 
@@ -113,15 +104,14 @@ class OutcomeDistribution:
     probs: np.ndarray
 
 
-def choose_geometry(n: int) -> RegisterGeometry:
-    """The unique (Q, L) with Q = 2**L and n^2 <= Q < 2n^2."""
+def register_size(n: int) -> int:
+    """Size Q of each register for the modulus n: the unique Q = 2**L with
+    n^2 <= Q < 2n^2, so both registers hold L qubits."""
     if n < 2:
         raise ValueError("modulus must be >= 2")
     if n > DEFAULT_MAX_N:
         raise CapacityError(f"modulus {n} exceeds the desk-scale cap {DEFAULT_MAX_N}")
-    L = (n * n - 1).bit_length()
-    Q = 1 << L
-    return RegisterGeometry(N=n, Q=Q, L=L)
+    return 1 << (n * n - 1).bit_length()
 
 
 def _probabilities(rows: np.ndarray) -> np.ndarray:
@@ -137,9 +127,9 @@ def check_circuit_budget(rows: int, q_total: int) -> None:
         )
 
 
-def initialize(geometry: RegisterGeometry) -> JointState:
-    """Both registers in |0>: one row, register-2 value 0, unit amplitude at x = 0."""
-    rows = np.zeros((1, geometry.Q), dtype=np.complex128)
+def initialize(Q: int) -> JointState:
+    """Both registers in |0>: one row of Q, register-2 value 0, unit amplitude at x = 0."""
+    rows = np.zeros((1, Q), dtype=np.complex128)
     rows[0, 0] = 1.0
     return JointState(np.zeros(1, dtype=np.int64), rows)
 
@@ -226,26 +216,28 @@ def measure_reg1(state: JointState, rng: np.random.Generator) -> tuple[int, Join
     return y0, collapse_reg1(state, y0)
 
 
-def period_finding_state(geometry: RegisterGeometry, f: ModExpFunction) -> JointState:
-    """Run the full circuit (init, transform, entangle, transform) and return the state.
+def period_finding_state(f: ModExpFunction) -> JointState:
+    """Run the full circuit (init, transform, entangle, transform) on
+    registers of size register_size(f.N) and return the state.
 
     The budget is decided first, before anything of register size exists.
     From |0>|0>, register 2 ends up holding the distinct values of m**x
-    mod N, and all of them occur among x < N, so an N-entry presence table
-    over the first N entries of the m**x table counts the rows.
+    mod N, and all of them occur among x < N <= Q, so an N-entry presence
+    table over the first N entries of the m**x table counts the rows.
     """
+    Q = register_size(f.N)
     present = np.zeros(f.N, dtype=bool)
-    present[f.table(min(geometry.Q, f.N))] = True
-    check_circuit_budget(np.count_nonzero(present), geometry.Q)
-    state = initialize(geometry)
+    present[f.table(f.N)] = True
+    check_circuit_budget(np.count_nonzero(present), Q)
+    state = initialize(Q)
     state = apply_qft_reg1(state)
     state = apply_modexp_entangler(state, f)
     return apply_qft_reg1(state)
 
 
-def simulated_distribution(geometry: RegisterGeometry, f: ModExpFunction) -> OutcomeDistribution:
+def simulated_distribution(f: ModExpFunction) -> OutcomeDistribution:
     """Measurement distribution of the simulated circuit (the stochastic source)."""
-    return reg1_distribution(period_finding_state(geometry, f))
+    return reg1_distribution(period_finding_state(f))
 
 
 def _split(P: int, Q: int) -> tuple[int, int, float]:

@@ -214,14 +214,14 @@ def shor_factor(n: int, config: ShorConfig | None = None) -> tuple[StepOutcome, 
         raise ValueError(f"forced base {config.forced_m} is outside step 1's range [2, {n - 1}]")
     if config.forced_y is not None and config.forced_m is None:
         raise ValueError(f"forced outcome {config.forced_y} needs a forced base to be drawn from")
-    geometry = engine.choose_geometry(n)
+    q_total = engine.register_size(n)
     # Every attempt that reaches the circuit has a unit base in [2, N-1],
     # of order at least 2, so its circuit holds at least two rows of Q
     # amplitudes: past that budget, only a lucky gcd could end the run.
-    engine.check_circuit_budget(2, geometry.Q)
-    trace = FactorizationTrace(N=n, Q=geometry.Q, L=geometry.L)
+    engine.check_circuit_budget(2, q_total)
+    trace = FactorizationTrace(N=n, Q=q_total, L=q_total.bit_length() - 1)
     outcome = StepOutcome(OutcomeKind.PERIOD_RECOVERY_FAILED)
-    # The circuit is deterministic in (geometry, m): an attempt that draws
+    # The circuit is deterministic in (n, m): an attempt that draws
     # the previous attempt's base reuses its outcome distribution.
     circuit_m = None
     # A forced outcome comes with a forced base, so every attempt would
@@ -240,14 +240,14 @@ def shor_factor(n: int, config: ShorConfig | None = None) -> tuple[StepOutcome, 
             )
             break
         if m != circuit_m:
-            dist = engine.simulated_distribution(geometry, engine.ModExpFunction(m, n))
+            dist = engine.simulated_distribution(engine.ModExpFunction(m, n))
             cumulative = np.cumsum(dist.probs)
             circuit_m = m
         if config.forced_y is not None:
             y = engine.check_outcome(dist, config.forced_y)
         else:
             y = int(engine.draw_outcome(cumulative, rng.random()))
-        recovery = step25_recover_period(y, geometry.Q, m, n)
+        recovery = step25_recover_period(y, q_total, m, n)
         if recovery.period is None:
             trace.attempts.append(
                 AttemptRecord(
@@ -256,7 +256,7 @@ def shor_factor(n: int, config: ShorConfig | None = None) -> tuple[StepOutcome, 
             )
             continue
         in_set = (
-            abs(numtheory.smallest_magnitude_residue(recovery.period * y, geometry.Q))
+            abs(numtheory.smallest_magnitude_residue(recovery.period * y, q_total))
             <= recovery.period / 2.0
         )
         step_outcome = step345_classical(m, recovery.period, n)
@@ -384,12 +384,12 @@ def monte_carlo_step2(n: int, m: int, trials: int, seed: int) -> MonteCarloResul
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    geometry = engine.choose_geometry(n)
+    q_total = engine.register_size(n)
     # The circuit checks its budget before the order loop's up to N - 1 steps.
-    dist = engine.simulated_distribution(geometry, engine.ModExpFunction(m, n))
+    dist = engine.simulated_distribution(engine.ModExpFunction(m, n))
     period = numtheory.multiplicative_order(m, n)
     cumulative = np.cumsum(dist.probs)
-    hits = np.zeros(geometry.Q, dtype=np.int64)
+    hits = np.zeros(q_total, dtype=np.int64)
     # Every draw comes from trial_uniform, the function that replays a
     # trial, so a run and a replay cannot disagree.
     for start in range(0, trials, MONTE_CARLO_CHUNK):
@@ -402,11 +402,11 @@ def monte_carlo_step2(n: int, m: int, trials: int, seed: int) -> MonteCarloResul
         # Counts do not depend on draw order, and sorted keys make the
         # search walk the cumulative table front to back.
         uniforms.sort()
-        hits += np.bincount(engine.draw_outcome(cumulative, uniforms), minlength=geometry.Q)
+        hits += np.bincount(engine.draw_outcome(cumulative, uniforms), minlength=q_total)
     ys = np.flatnonzero(hits)
     histogram = {"recovered_order": 0, "recovered_multiple": 0, "unrecovered": 0}
     for y, count in zip(ys.tolist(), hits[ys].tolist()):
-        recovery = step25_recover_period(y, geometry.Q, m, n)
+        recovery = step25_recover_period(y, q_total, m, n)
         if recovery.period == period:
             histogram["recovered_order"] += count
         elif recovery.period is not None:

@@ -20,8 +20,8 @@ from shorlab.engine import (
     ModExpFunction,
     apply_modexp_entangler,
     apply_qft_reg1,
-    choose_geometry,
     initialize,
+    register_size,
 )
 from shorlab.numtheory import smallest_magnitude_residue
 
@@ -145,23 +145,25 @@ def naive_csv(probs) -> str:
     return "\n".join(["y,prob", *(f"{y},{p:.17g}" for y, p in enumerate(probs))]) + "\n"
 
 
-def random_sparse_state(geometry, rng, n_entries=24, n_reg2=3):
-    """Normalized random state with a few register-2 values occupied."""
+def random_sparse_state(q_total, n, rng, n_entries=24, n_reg2=3):
+    """Normalized random state over registers of size q_total, with a few
+    register-2 values below the modulus n occupied."""
     amplitudes = {}
-    reg2_values = rng.choice(geometry.N, size=n_reg2, replace=False)
+    reg2_values = rng.choice(n, size=n_reg2, replace=False)
     for v in reg2_values:
-        for x in rng.choice(geometry.Q, size=n_entries, replace=False):
+        for x in rng.choice(q_total, size=n_entries, replace=False):
             amplitudes[(int(x), int(v))] = complex(
                 rng.standard_normal(), rng.standard_normal()
             )
     norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values()))
-    return state_from_dict(geometry, {k: a / norm for k, a in amplitudes.items()})
+    return state_from_dict(q_total, {k: a / norm for k, a in amplitudes.items()})
 
 
-def state_from_dict(geometry, amplitudes) -> engine.JointState:
-    """State from a sparse {(x, v): amplitude} map; absent entries are zero."""
+def state_from_dict(q_total, amplitudes) -> engine.JointState:
+    """State from a sparse {(x, v): amplitude} map over registers of size
+    q_total; absent entries are zero."""
     levels = np.array(sorted({v for _, v in amplitudes}), dtype=np.int64)
-    rows = np.zeros((levels.size, geometry.Q), dtype=np.complex128)
+    rows = np.zeros((levels.size, q_total), dtype=np.complex128)
     for (x, v), amp in amplitudes.items():
         rows[np.searchsorted(levels, v), x] = amp
     return engine.JointState(levels, rows)
@@ -213,14 +215,14 @@ def naive_monte_carlo_histogram(n: int, m: int, trials: int, seed: int) -> dict[
     uniform, draws its own outcome and runs its own convergent scan."""
     from shorlab import pipeline
 
-    geometry = choose_geometry(n)
-    cumulative = np.cumsum(engine.simulated_distribution(geometry, ModExpFunction(m, n)).probs)
+    q_total = register_size(n)
+    cumulative = np.cumsum(engine.simulated_distribution(ModExpFunction(m, n)).probs)
     period = brute_order(m, n)
     histogram = {"recovered_order": 0, "recovered_multiple": 0, "unrecovered": 0}
     for i in range(trials):
         u = pipeline.trial_uniform(seed, i) * cumulative[-1]
         y = int(np.searchsorted(cumulative, u, side="right"))
-        recovered = pipeline.step25_recover_period(y, geometry.Q, m, n).period
+        recovered = pipeline.step25_recover_period(y, q_total, m, n).period
         if recovered == period:
             histogram["recovered_order"] += 1
         elif recovered is not None:
@@ -271,10 +273,10 @@ def check_qft_unitarity_and_fourth_power(seed: int = 11) -> None:
     """Norm preservation to 1e-12 and F^4 = identity to 1e-9, Q <= 256."""
     rng = np.random.default_rng(seed)
     for n in (4, 9, 15):
-        geometry = choose_geometry(n)
-        assert geometry.Q <= 256
+        q_total = register_size(n)
+        assert q_total <= 256
         for _ in range(3):
-            state = random_sparse_state(geometry, rng, n_entries=min(16, geometry.Q // 2))
+            state = random_sparse_state(q_total, n, rng, n_entries=min(16, q_total // 2))
             once = apply_qft_reg1(state)
             assert abs(state_norm(once) - state_norm(state)) < 1e-12
             four = apply_qft_reg1(apply_qft_reg1(apply_qft_reg1(once)))
@@ -284,9 +286,8 @@ def check_qft_unitarity_and_fourth_power(seed: int = 11) -> None:
 def check_entangler_involution() -> None:
     """Applying the entangler twice restores the state exactly."""
     for n, m in ((15, 2), (91, 3)):
-        geometry = choose_geometry(n)
         f = ModExpFunction(m, n)
-        state = apply_qft_reg1(initialize(geometry))
+        state = apply_qft_reg1(initialize(register_size(n)))
         entangled = apply_modexp_entangler(state, f)
         restored = apply_modexp_entangler(entangled, f)
         assert amplitude_map(restored) == amplitude_map(state)

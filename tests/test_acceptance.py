@@ -18,9 +18,9 @@ import support
 from shorlab import cli, pipeline
 from shorlab.engine import (
     ModExpFunction,
-    choose_geometry,
     closed_form_distribution,
     closed_form_prob,
+    register_size,
     simulated_distribution,
 )
 from shorlab.numtheory import (
@@ -91,7 +91,7 @@ def test_criterion_02_probability_value(capsys):
     rel_err = abs(value - oracle) / oracle
     closed_ok = rel_err <= 1e-10
 
-    dist = simulated_distribution(choose_geometry(91), ModExpFunction(3, 91))
+    dist = simulated_distribution(ModExpFunction(3, 91))
     sim_gap = abs(float(dist.probs[13453]) - value)
     sim_ok = sim_gap <= 1e-9
 
@@ -126,13 +126,13 @@ def test_criterion_03_expansion_table(capsys):
 
 
 def test_criterion_04_exact_divisor_distribution(capsys):
-    geometry = choose_geometry(15)
-    simulated = simulated_distribution(geometry, ModExpFunction(2, 15))
-    closed = closed_form_distribution(4, geometry.Q)
+    q_total = register_size(15)
+    simulated = simulated_distribution(ModExpFunction(2, 15))
+    closed = closed_form_distribution(4, q_total)
     peaks = {0, 64, 128, 192}
     ok = True
     for probs in (simulated.probs, closed.probs):
-        for y in range(geometry.Q):
+        for y in range(q_total):
             if y in peaks:
                 ok = ok and abs(probs[y] - 0.25) <= 1e-12
             else:
@@ -146,10 +146,10 @@ def test_criterion_05_simulation_matches_closed_form(capsys):
     worst = 0.0
     ok = True
     for n, m in support.PAIRS:
-        geometry = choose_geometry(n)
+        q_total = register_size(n)
         period = multiplicative_order(m, n)
-        simulated = simulated_distribution(geometry, ModExpFunction(m, n))
-        closed = closed_form_distribution(period, geometry.Q)
+        simulated = simulated_distribution(ModExpFunction(m, n))
+        closed = closed_form_distribution(period, q_total)
         gap = float(np.max(np.abs(simulated.probs - closed.probs)))
         worst = max(worst, gap)
         ok = ok and gap <= 1e-9
@@ -169,19 +169,19 @@ def test_criterion_05_simulation_matches_closed_form(capsys):
 def test_criterion_06_probability_floor_and_aggregate_bound(capsys):
     ok = True
     for n, m in support.PAIRS:
-        geometry = choose_geometry(n)
+        q_total = register_size(n)
         period = multiplicative_order(m, n)
         damping = (1.0 - 1.0 / n) ** 2
         floor = 4.0 / math.pi**2 / period * damping
         cutoff = period / 2.0 * (1.0 - 1.0 / n)
-        for y in range(geometry.Q):
-            t = smallest_magnitude_residue(period * y, geometry.Q)
+        for y in range(q_total):
+            t = smallest_magnitude_residue(period * y, q_total)
             if 0 < abs(t) <= cutoff:
-                ok = ok and closed_form_prob(y, period, geometry.Q) >= floor - 1e-15
+                ok = ok and closed_form_prob(y, period, q_total) >= floor - 1e-15
         aggregate = sum(
-            closed_form_prob(y, period, geometry.Q)
-            for y in support.bijection_set(period, geometry.Q)
-            if math.gcd(d_from_y(period, geometry.Q, y), period) == 1
+            closed_form_prob(y, period, q_total)
+            for y in support.bijection_set(period, q_total)
+            if math.gcd(d_from_y(period, q_total, y), period) == 1
         )
         ok = ok and aggregate >= pipeline.success_lower_bound(period, n) - 1e-15
     with capsys.disabled():
@@ -191,20 +191,20 @@ def test_criterion_06_probability_floor_and_aggregate_bound(capsys):
 def test_criterion_07_rounding_bijection(capsys):
     ok = True
     for n, m in support.PAIRS:
-        geometry = choose_geometry(n)
+        q_total = register_size(n)
         period = multiplicative_order(m, n)
-        members = support.bijection_set(period, geometry.Q)
+        members = support.bijection_set(period, q_total)
         ok = ok and len(members) == period
         seen = set()
         for y in members:
-            d = d_from_y(period, geometry.Q, y)
+            d = d_from_y(period, q_total, y)
             seen.add(d)
             ok = ok and 0 <= d < period
-            ok = ok and support.y_from_d(period, geometry.Q, d) == y
-            ok = ok and smallest_magnitude_residue(period * y, geometry.Q) == period * y - geometry.Q * d
+            ok = ok and support.y_from_d(period, q_total, d) == y
+            ok = ok and smallest_magnitude_residue(period * y, q_total) == period * y - q_total * d
         ok = ok and seen == set(range(period))
         for d in range(period):
-            ok = ok and d_from_y(period, geometry.Q, support.y_from_d(period, geometry.Q, d)) == d
+            ok = ok and d_from_y(period, q_total, support.y_from_d(period, q_total, d)) == d
     with capsys.disabled():
         report(7, "rounding maps are mutually inverse between Y and the period set", ok)
 

@@ -552,6 +552,12 @@ REJECTED_INPUTS = [
     # At Q = 2**26 one row fits, but a unit base in [2, N-1] has order at
     # least 2, so every circuit holds two rows: the run is rejected too.
     (("factor", "8189", "--seed", "3"), "2**26"),
+    # A CSV path that cannot be opened is refused like any other input.
+    (
+        ("distribution", "15", "2", "--out", "/nonexistent-dir/x.csv"),
+        "cannot write the CSV to /nonexistent-dir/x.csv: No such file or directory",
+    ),
+    (("distribution", "15", "2", "--out", "/"), "cannot write the CSV to /: Is a directory"),
 ]
 
 

@@ -14,10 +14,8 @@ from shorlab import engine
 from shorlab.engine import (
     CapacityError,
     ModExpFunction,
-    RegisterGeometry,
     apply_modexp_entangler,
     apply_qft_reg1,
-    choose_geometry,
     closed_form_distribution,
     closed_form_prob,
     collapse_reg1,
@@ -25,6 +23,7 @@ from shorlab.engine import (
     measure_reg1,
     period_finding_state,
     reg1_distribution,
+    register_size,
     simulated_distribution,
 )
 from shorlab.numtheory import multiplicative_order, smallest_magnitude_residue
@@ -39,27 +38,27 @@ PROB_13453 = 3.189335551743533e-07
 
 
 def test_choose_geometry_pinned_values():
-    g91 = choose_geometry(91)
-    assert (g91.Q, g91.L) == (16384, 14)
-    g15 = choose_geometry(15)
-    assert (g15.Q, g15.L) == (256, 8)
-    g2 = choose_geometry(2)
-    assert (g2.Q, g2.L) == (4, 2)
+    q91 = register_size(91)
+    assert (q91, q91.bit_length() - 1) == (16384, 14)
+    q15 = register_size(15)
+    assert (q15, q15.bit_length() - 1) == (256, 8)
+    q2 = register_size(2)
+    assert (q2, q2.bit_length() - 1) == (4, 2)
 
 
 def test_choose_geometry_invariant_and_capacity():
     for n in range(2, 600):
-        g = choose_geometry(n)
-        assert g.Q == 1 << g.L
-        assert n * n <= g.Q < 2 * n * n
+        q_total = register_size(n)
+        assert q_total == 1 << (q_total.bit_length() - 1)
+        assert n * n <= q_total < 2 * n * n
     with pytest.raises(CapacityError):
-        choose_geometry(10**6 + 1)
+        register_size(10**6 + 1)
     with pytest.raises(ValueError):
-        choose_geometry(1)
+        register_size(1)
 
 
 def test_initialize_is_point_mass():
-    state = initialize(choose_geometry(91))
+    state = initialize(register_size(91))
     assert support.nonzero_amplitudes(state) == {(0, 0): 1.0 + 0.0j}
     assert abs(support.state_norm(state) - 1.0) < 1e-15
     dist = reg1_distribution(state)
@@ -67,10 +66,10 @@ def test_initialize_is_point_mass():
 
 
 def test_qft_on_initial_state_is_uniform():
-    geometry = choose_geometry(15)
-    state = apply_qft_reg1(initialize(geometry))
-    expected = 1.0 / math.sqrt(geometry.Q)
-    assert len(state.amplitudes) == geometry.Q
+    q_total = register_size(15)
+    state = apply_qft_reg1(initialize(q_total))
+    expected = 1.0 / math.sqrt(q_total)
+    assert len(state.amplitudes) == q_total
     for (x, v), amp in support.amplitude_map(state).items():
         assert v == 0
         assert abs(amp - expected) < 1e-12
@@ -78,8 +77,7 @@ def test_qft_on_initial_state_is_uniform():
 
 
 def test_qft_two_point_is_hadamard():
-    geometry = RegisterGeometry(N=2, Q=2, L=1)
-    state = apply_qft_reg1(support.state_from_dict(geometry, {(0, 0): 1.0 + 0.0j}))
+    state = apply_qft_reg1(support.state_from_dict(2, {(0, 0): 1.0 + 0.0j}))
     r = 1.0 / math.sqrt(2.0)
     amplitudes = support.amplitude_map(state)
     assert abs(amplitudes[(0, 0)] - r) < 1e-15
@@ -89,9 +87,9 @@ def test_qft_two_point_is_hadamard():
 def test_qft_matches_dense_matrix():
     rng = np.random.default_rng(8)
     for n in (4, 9, 15):
-        geometry = choose_geometry(n)
-        dense = support.dense_transform_matrix(geometry.Q)
-        state = support.random_sparse_state(geometry, rng, n_entries=min(12, geometry.Q // 2))
+        q_total = register_size(n)
+        dense = support.dense_transform_matrix(q_total)
+        state = support.random_sparse_state(q_total, n, rng, n_entries=min(12, q_total // 2))
         transformed = apply_qft_reg1(state)
         for v, vec in support.state_as_slices(state).items():
             expected = dense @ vec
@@ -113,9 +111,9 @@ def test_modexp_table_matches_running_product():
 
 def test_entangler_builds_modexp_slices():
     n, m = 91, 3
-    geometry = choose_geometry(n)
-    state = apply_modexp_entangler(apply_qft_reg1(initialize(geometry)), ModExpFunction(m, n))
-    expected = 1.0 / math.sqrt(geometry.Q)
+    q_total = register_size(n)
+    state = apply_modexp_entangler(apply_qft_reg1(initialize(q_total)), ModExpFunction(m, n))
+    expected = 1.0 / math.sqrt(q_total)
     amplitudes = support.amplitude_map(state)
     for x, v in [(0, 1), (1, 3), (2, 9), (3, 27), (4, 81), (5, 61), (6, 1), (16383, 27)]:
         assert abs(amplitudes[(x, v)] - expected) < 1e-12
@@ -123,9 +121,8 @@ def test_entangler_builds_modexp_slices():
 
 
 def test_entangler_single_ket_and_involution():
-    geometry = choose_geometry(91)
     f = ModExpFunction(3, 91)
-    single = support.state_from_dict(geometry, {(5, 0): 1.0 + 0.0j})
+    single = support.state_from_dict(register_size(91), {(5, 0): 1.0 + 0.0j})
     assert support.nonzero_amplitudes(apply_modexp_entangler(single, f)) == {(5, 61): 1.0 + 0.0j}
     support.check_entangler_involution()
 
@@ -133,10 +130,10 @@ def test_entangler_single_ket_and_involution():
 def test_entangler_matches_the_unique_oracle():
     rng = np.random.default_rng(2024)
     for n, m in ((15, 2), (21, 5), (91, 3)):
-        geometry = choose_geometry(n)
+        q_total = register_size(n)
         f = ModExpFunction(m, n)
         for occupied in ([0], [0, n - 1], [0, 1, n // 2, n - 1]):
-            shape = (len(occupied), geometry.Q)
+            shape = (len(occupied), q_total)
             rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             rows[rng.random(shape) < 0.5] = 0.0
             state = engine.JointState(np.array(occupied, dtype=np.int64), rows)
@@ -147,17 +144,15 @@ def test_entangler_matches_the_unique_oracle():
 
 
 def test_entangler_rejects_out_of_range_register2():
-    geometry = choose_geometry(15)
-    bad = support.state_from_dict(geometry, {(0, 15): 1.0 + 0.0j})
+    bad = support.state_from_dict(register_size(15), {(0, 15): 1.0 + 0.0j})
     with pytest.raises(ValueError):
         apply_modexp_entangler(bad, ModExpFunction(2, 15))
 
 
 def test_register2_support_bounded_by_period_at_every_stage():
     n, m = 91, 3
-    geometry = choose_geometry(n)
     period = multiplicative_order(m, n)
-    state = initialize(geometry)
+    state = initialize(register_size(n))
     assert len(support.register2_values(state)) <= period
     state = apply_qft_reg1(state)
     assert len(support.register2_values(state)) <= period
@@ -168,8 +163,7 @@ def test_register2_support_bounded_by_period_at_every_stage():
 
 
 def test_simulated_distribution_worked_example_value():
-    geometry = choose_geometry(91)
-    dist = simulated_distribution(geometry, ModExpFunction(3, 91))
+    dist = simulated_distribution(ModExpFunction(3, 91))
     assert abs(dist.probs[13453] - PROB_13453) < 1e-12
     assert abs(dist.probs.sum() - 1.0) < 1e-9
 
@@ -279,25 +273,24 @@ def test_circuit_budget_counts_exactly_the_register2_rows(monkeypatch):
     for n in range(9, 64, 2):
         if n in primes:
             continue
-        geometry = choose_geometry(n)
+        q_total = register_size(n)
         for m in range(1, n):
             if math.gcd(m, n) != 1:
                 continue
             period = support.brute_order(m, n)
             f = ModExpFunction(m, n)
-            monkeypatch.setattr(engine, "CIRCUIT_MAX_AMPLITUDES", period * geometry.Q)
-            assert period_finding_state(geometry, f).levels.size == period, (n, m)
-            monkeypatch.setattr(engine, "CIRCUIT_MAX_AMPLITUDES", period * geometry.Q - 1)
+            monkeypatch.setattr(engine, "CIRCUIT_MAX_AMPLITUDES", period * q_total)
+            assert period_finding_state(f).levels.size == period, (n, m)
+            monkeypatch.setattr(engine, "CIRCUIT_MAX_AMPLITUDES", period * q_total - 1)
             with pytest.raises(CapacityError, match=f"needs {period} register-2 rows"):
-                period_finding_state(geometry, f)
+                period_finding_state(f)
 
 
 def test_simulation_agrees_with_closed_form():
     for n, m in support.PAIRS:
-        geometry = choose_geometry(n)
         period = multiplicative_order(m, n)
-        simulated = simulated_distribution(geometry, ModExpFunction(m, n))
-        closed = closed_form_distribution(period, geometry.Q)
+        simulated = simulated_distribution(ModExpFunction(m, n))
+        closed = closed_form_distribution(period, register_size(n))
         assert np.max(np.abs(simulated.probs - closed.probs)) < 1e-9
         assert abs(simulated.probs.sum() - 1.0) < 1e-9
         assert abs(closed.probs.sum() - 1.0) < 1e-9
@@ -310,10 +303,9 @@ def test_simulation_agrees_with_closed_form_every_odd_composite():
     composites = [n for n in range(9, 101, 2) if n not in primes]
     assert len(composites) == 25
     for n in composites:
-        geometry = choose_geometry(n)
         period = multiplicative_order(2, n)
-        simulated = simulated_distribution(geometry, ModExpFunction(2, n))
-        closed = closed_form_distribution(period, geometry.Q)
+        simulated = simulated_distribution(ModExpFunction(2, n))
+        closed = closed_form_distribution(period, register_size(n))
         assert np.max(np.abs(simulated.probs - closed.probs)) <= 1e-9, n
 
 
@@ -321,15 +313,15 @@ def test_probability_floor_over_small_residues():
     # outcomes whose scaled residue is small keep probability >= the
     # (4/pi^2)/P floor; the zero-residue outcomes keep the stronger 1/P floor
     for n, m in support.PAIRS:
-        geometry = choose_geometry(n)
+        q_total = register_size(n)
         period = multiplicative_order(m, n)
         damping = (1.0 - 1.0 / n) ** 2
         floor_main = 4.0 / math.pi**2 / period * damping
         floor_zero = damping / period
         cutoff = period / 2.0 * (1.0 - 1.0 / n)
-        for y in range(geometry.Q):
-            t = smallest_magnitude_residue(period * y, geometry.Q)
-            p = closed_form_prob(y, period, geometry.Q)
+        for y in range(q_total):
+            t = smallest_magnitude_residue(period * y, q_total)
+            p = closed_form_prob(y, period, q_total)
             if t == 0:
                 assert p >= floor_zero - 1e-15
             elif abs(t) <= cutoff:
@@ -368,7 +360,7 @@ def test_closed_form_matches_direct_geometric_sum():
 
 def test_collapse_on_forced_outcome():
     n, m, y0 = 91, 3, 13453
-    state = period_finding_state(choose_geometry(n), ModExpFunction(m, n))
+    state = period_finding_state(ModExpFunction(m, n))
     collapsed = collapse_reg1(state, y0)
     assert {x for (x, _) in support.nonzero_amplitudes(collapsed)} == {y0}
     assert abs(support.state_norm(collapsed) - 1.0) < 1e-12
@@ -387,20 +379,18 @@ def test_collapse_on_forced_outcome():
 
 
 def test_collapse_rejects_zero_probability_outcome():
-    geometry = choose_geometry(15)
-    state = support.state_from_dict(geometry, {(7, 1): 1.0 + 0.0j})
+    state = support.state_from_dict(register_size(15), {(7, 1): 1.0 + 0.0j})
     with pytest.raises(ValueError):
         collapse_reg1(state, 8)
 
 
 def test_measure_point_mass_and_seed_determinism():
-    geometry = choose_geometry(15)
-    state = support.state_from_dict(geometry, {(7, 2): 1.0 + 0.0j})
+    state = support.state_from_dict(register_size(15), {(7, 2): 1.0 + 0.0j})
     for seed in (0, 1, 2**63 - 1):
         y0, collapsed = measure_reg1(state, np.random.default_rng(seed))
         assert y0 == 7
         assert support.nonzero_amplitudes(collapsed) == {(7, 2): 1.0 + 0.0j}
-    state2 = period_finding_state(geometry, ModExpFunction(2, 15))
+    state2 = period_finding_state(ModExpFunction(2, 15))
     draws_a = [measure_reg1(state2, np.random.default_rng(42))[0] for _ in range(5)]
     draws_b = [measure_reg1(state2, np.random.default_rng(42))[0] for _ in range(5)]
     assert draws_a == draws_b
@@ -408,10 +398,9 @@ def test_measure_point_mass_and_seed_determinism():
 
 def test_measure_frequencies_match_distribution():
     # known 4-point distribution; 1e5 draws within 3-sigma multinomial bands
-    geometry = RegisterGeometry(N=2, Q=4, L=2)
     weights = [0.1, 0.2, 0.3, 0.4]
     state = support.state_from_dict(
-        geometry, {(x, 0): complex(math.sqrt(w)) for x, w in enumerate(weights)}
+        4, {(x, 0): complex(math.sqrt(w)) for x, w in enumerate(weights)}
     )
     draws = 10**5
     rng = np.random.default_rng(123)
@@ -433,11 +422,10 @@ def test_inverse_cdf_edges_land_on_possible_outcomes():
     for n in range(9, 64, 2):
         if n in primes:
             continue
-        geometry = choose_geometry(n)
         for m in range(2, n):
             if math.gcd(m, n) != 1:
                 continue
-            probs = simulated_distribution(geometry, ModExpFunction(m, n)).probs
+            probs = simulated_distribution(ModExpFunction(m, n)).probs
             cumulative = np.cumsum(probs)
             possible = np.flatnonzero(probs)
             assert engine.draw_outcome(cumulative, 0.0) == possible[0], (n, m)

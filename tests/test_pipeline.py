@@ -8,7 +8,7 @@ import pytest
 
 import support
 from shorlab import engine, pipeline
-from shorlab.engine import choose_geometry, closed_form_prob
+from shorlab.engine import closed_form_prob, register_size
 from shorlab.numtheory import (
     euler_totient,
     gcd_euclid,
@@ -72,7 +72,7 @@ def test_step25_trail_is_the_full_expansion_cut_at_the_modulus(n, m):
     # Oracle: the whole expansion, then the scan rule applied to it.
     from shorlab.contfrac import cf_expand
 
-    q_total = choose_geometry(n).Q
+    q_total = register_size(n)
     for y in range(q_total):
         trail = []
         for n_idx, (_, q_n) in enumerate(cf_expand(y, q_total).convergents):
@@ -270,44 +270,44 @@ def test_asymptotic_bound_values():
 
 def test_bijection_lemma_exhaustive():
     for n, m in support.PAIRS:
-        geometry = choose_geometry(n)
+        q_total = register_size(n)
         period = multiplicative_order(m, n)
-        members = support.bijection_set(period, geometry.Q)
+        members = support.bijection_set(period, q_total)
         assert len(members) == period
         images = set()
         for y in members:
-            d = d_from_y(period, geometry.Q, y)
+            d = d_from_y(period, q_total, y)
             assert 0 <= d < period
-            assert support.y_from_d(period, geometry.Q, d) == y
+            assert support.y_from_d(period, q_total, d) == y
             images.add(d)
             # the scaled residue is exactly the rounding defect
-            assert smallest_magnitude_residue(period * y, geometry.Q) == period * y - geometry.Q * d
+            assert smallest_magnitude_residue(period * y, q_total) == period * y - q_total * d
         assert images == set(range(period))
         for d in range(period):
-            y = support.y_from_d(period, geometry.Q, d)
+            y = support.y_from_d(period, q_total, d)
             assert y in members
-            assert d_from_y(period, geometry.Q, y) == d
+            assert d_from_y(period, q_total, y) == d
 
 
 def test_convergent_membership_over_bijection_set():
 
     for n, m in support.PAIRS:
-        geometry = choose_geometry(n)
+        q_total = register_size(n)
         period = multiplicative_order(m, n)
-        for y in support.bijection_set(period, geometry.Q):
-            d = d_from_y(period, geometry.Q, y)
+        for y in support.bijection_set(period, q_total):
+            d = d_from_y(period, q_total, y)
             g = math.gcd(d, period) if d else period
-            assert support.is_convergent(d // g, period // g, y, geometry.Q), (n, m, y)
+            assert support.is_convergent(d // g, period // g, y, q_total), (n, m, y)
 
 
 def test_aggregate_probability_bound():
     for n, m in support.PAIRS:
-        geometry = choose_geometry(n)
+        q_total = register_size(n)
         period = multiplicative_order(m, n)
         total = sum(
-            closed_form_prob(y, period, geometry.Q)
-            for y in support.bijection_set(period, geometry.Q)
-            if math.gcd(d_from_y(period, geometry.Q, y), period) == 1
+            closed_form_prob(y, period, q_total)
+            for y in support.bijection_set(period, q_total)
+            if math.gcd(d_from_y(period, q_total, y), period) == 1
         )
         assert total >= success_lower_bound(period, n), (n, m, total)
 

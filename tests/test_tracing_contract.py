@@ -9,7 +9,7 @@ import importlib.util
 from pathlib import Path
 
 from shorlab import cli, contfrac, engine, numtheory, pipeline
-from shorlab.engine import ModExpFunction, choose_geometry
+from shorlab.engine import ModExpFunction, register_size
 
 MODULES = {
     "cli": cli,
@@ -45,16 +45,16 @@ def test_circuit_looks_up_the_transform_twice(monkeypatch):
         return outputs[-1]
 
     monkeypatch.setattr(engine, "apply_qft_reg1", recording)
-    geometry = choose_geometry(91)
-    engine.period_finding_state(geometry, ModExpFunction(3, 91))
+    q_total = register_size(91)
+    engine.period_finding_state(ModExpFunction(3, 91))
     assert len(outputs) == 2
-    assert len(outputs[1].amplitudes) == geometry.Q * 6
+    assert len(outputs[1].amplitudes) == q_total * 6
 
 
 def test_tracer_counts_qft2_amplitudes():
     tracer = load_tracing().Tracer()
-    geometry = choose_geometry(91)
+    q_total = register_size(91)
     with tracer.installed(MODULES):
-        engine.simulated_distribution(geometry, ModExpFunction(3, 91))
+        engine.simulated_distribution(ModExpFunction(3, 91))
     assert {"engine.qft1", "engine.qft2", "engine.apply_modexp_entangler"} <= set(tracer.names)
-    assert tracer.counts["engine.amplitudes"] == geometry.Q * 6
+    assert tracer.counts["engine.amplitudes"] == q_total * 6
