@@ -41,7 +41,8 @@ DEFAULT_MAX_N = 10**6
 # complex128, before the transform's copies), checked before the circuit starts.
 CIRCUIT_MAX_AMPLITUDES = 1 << 26
 # Largest register size the closed-form distribution accepts, set by memory:
-# its (Q/2 + 1)-entry sin^2 table plus its Q-entry result take 3 GiB at 2**28.
+# its Q/(2*gcd(P, Q)) + 1-entry sin^2 table plus its Q-entry result take
+# 3 GiB at 2**28 in the worst case, odd P.
 CLOSED_FORM_MAX_Q = 1 << 28
 # Entries per batch of the closed form: table entries built from Python
 # floats, and outcomes evaluated, at a time.
@@ -279,8 +280,9 @@ def closed_form_prob(y: int, P: int, Q: int) -> float:
     return numerator / (Q * Q * _sin2_pi_ratio(t, Q))
 
 
-def _sin2_table(den: int) -> np.ndarray:
-    """sin^2(pi*k/den) for k = 0..den//2, each entry as _sin2_pi_ratio computes it.
+def _sin2_table(den: int, step: int) -> np.ndarray:
+    """sin^2(pi*k/den) for k = 0, step, 2*step, ... <= den/2, den//(2*step) + 1
+    entries, each as _sin2_pi_ratio computes it.
 
     The angle math.pi * k / den is two correctly rounded float64 operations
     on exact operands, so numpy forms the same angles.  The sine and the
@@ -289,10 +291,10 @@ def _sin2_table(den: int) -> np.ndarray:
     on every platform.  The table is built
     SIN2_BATCH entries at a time, so few Python floats are alive at once.
     """
-    table = np.empty(den // 2 + 1)
+    table = np.empty(den // (2 * step) + 1)
     sin = math.sin
     for start in range(0, table.size, SIN2_BATCH):
-        k = np.arange(start, min(start + SIN2_BATCH, table.size), dtype=np.float64)
+        k = np.arange(start, min(start + SIN2_BATCH, table.size), dtype=np.float64) * step
         table[start : start + k.size] = [sin(a) ** 2 for a in (math.pi * k / den).tolist()]
     return table
 
@@ -307,32 +309,39 @@ def closed_form_distribution(P: int, Q: int) -> OutcomeDistribution:
     |k| <= Q/2 and, sin^2 being even, one table over k = 0..Q/2 serves
     them all.  Since P*q = Q - r, the arguments t*q and t*(q+1), with
     t = P*y, are -r*y and (P - r)*y mod Q, so each residue (t, tq, tq1) is
-    one product y * (c mod Q), below 2**56 at Q <= 2**28.  The outcomes are
-    taken SIN2_BATCH at a time and written straight into the result, so
-    the temporaries stay small.  A register past CLOSED_FORM_MAX_Q is
-    refused before the table exists.
+    one product y * (c mod Q) mod Q.  Each c is a multiple of
+    g = gcd(P, Q), and so is Q, so the residue is g times
+    y * ((c mod Q)/g) mod Q/g, below 2**56 at Q <= 2**28.  Hence only
+    the table entries with g | k are read, Q/(2g) + 1 of them, and the
+    distribution repeats with period Q/g: only the outcomes y < Q/g are
+    evaluated, SIN2_BATCH at a time and written straight into the result
+    so the temporaries stay small, and one copy tiles them over the
+    rest.  A register past CLOSED_FORM_MAX_Q is refused before the table
+    exists.
     """
     _, r, p0 = _split(P, Q)
     if Q > CLOSED_FORM_MAX_Q:
         raise CapacityError(
             f"register size {Q} exceeds the closed-form budget Q <= 2**28 "
-            "(its sin^2 table and result take 3 GiB there)"
+            "(its sin^2 table and result take up to 3 GiB there)"
         )
-    sin2 = _sin2_table(Q)
+    g = math.gcd(P, Q)
+    period = Q // g
+    sin2 = _sin2_table(Q, g)
 
     def sin2_at(residue: np.ndarray) -> np.ndarray:
-        # residue in [0, Q), overwritten by the magnitude of its
-        # smallest-magnitude representative, min(residue, Q - residue).
-        np.minimum(residue, Q - residue, out=residue)
+        # residue in [0, period), in units of g, overwritten by the
+        # magnitude of its smallest-magnitude representative.
+        np.minimum(residue, period - residue, out=residue)
         return sin2[residue]
 
     # (IEEE products commute, so sin2 * r is bit for bit r * sin2.)
     probs = np.full(Q, p0)
-    for start in range(0, Q, SIN2_BATCH):
-        y = np.arange(start, min(start + SIN2_BATCH, Q), dtype=np.int64)
-        t, tq, tq1 = (y * (c % Q) for c in (P, r, P - r))
+    for start in range(0, period, SIN2_BATCH):
+        y = np.arange(start, min(start + SIN2_BATCH, period), dtype=np.int64)
+        t, tq, tq1 = (y * (c % Q // g) for c in (P, r, P - r))
         for residue in (t, tq, tq1):
-            residue %= Q
+            residue %= period
         numerator = sin2_at(tq1)
         numerator *= float(r)
         numerator += float(P - r) * sin2_at(tq)
@@ -340,4 +349,5 @@ def closed_form_distribution(P: int, Q: int) -> OutcomeDistribution:
         denominator = sin2_at(t)
         denominator *= float(Q * Q)
         np.divide(numerator, denominator, out=probs[start : start + t.size], where=nonzero)
+    probs.reshape(g, period)[1:] = probs[:period]
     return OutcomeDistribution(probs)

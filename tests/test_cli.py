@@ -282,9 +282,9 @@ def test_circuit_budget_is_checked_before_the_order_loop(capsys, monkeypatch):
 
 def test_closed_form_over_budget_is_rejected_before_allocating():
     # N = 16385 and 20001 need Q = 2**29, one step past the closed form's
-    # Q <= 2**28: a 2 GiB sin^2 table and a 4 GiB result.  The child may
-    # map at most 1 GiB, so without the check each case dies at once with
-    # a MemoryError on the table instead of taking the machine's memory.
+    # Q <= 2**28: a sin^2 table of up to 2 GiB and a 4 GiB result.  The
+    # child may map at most 1 GiB, so without the check each case dies at
+    # once with a MemoryError instead of taking the machine's memory.
     # --compare runs the circuit first, which names its own budget.
     cases = [
         ["distribution", n, "2", mode]

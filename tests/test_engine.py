@@ -232,11 +232,48 @@ def test_closed_form_distribution_normalization_and_point_mass():
         (24, 1 << 16),
         (23, 1 << 17),  # odd P over two SIN2_BATCH slices
         (1000, 256),  # P > Q: P - r = 744 and P itself reduce mod Q
+        (6, 96),  # gcd 6 and Q not powers of two
+        (9, 6000),  # gcd 3
+        (10, 1000),  # gcd 10
+        (16, 16),  # P = Q: period 1
+        (48, 16),  # P a multiple of Q: every residue is 0
+        (2, 1 << 18),  # a period of 2**17 spans two SIN2_BATCH slices
     ],
 )
 def test_closed_form_distribution_is_the_scalar_closed_form_bitwise(period, q_total):
     scalar = np.array([closed_form_prob(y, period, q_total) for y in range(q_total)])
     assert np.array_equal(closed_form_distribution(period, q_total).probs, scalar)
+
+
+@pytest.mark.parametrize("period, sines", [(16, (1 << 15) + 1), (23, (1 << 19) + 1)])
+def test_closed_form_distribution_takes_one_sine_per_table_entry(monkeypatch, period, sines):
+    # The table holds sin^2(pi*k/Q) for the multiples k of gcd(P, Q) up to
+    # Q/2 only: Q/(2*gcd) + 1 sines, 2**15 + 1 at gcd 16 and 2**19 + 1 at gcd 1.
+    calls = 0
+    sin = math.sin
+
+    def counting_sin(a):
+        nonlocal calls
+        calls += 1
+        return sin(a)
+
+    monkeypatch.setattr(math, "sin", counting_sin)
+    closed_form_distribution(period, 1 << 20)
+    assert calls == sines
+
+
+def test_closed_form_distribution_table_shrinks_with_the_gcd():
+    # Both results take 8 MiB; the table takes 4 MiB at gcd 1 but 0.25 MiB
+    # at gcd 16, so the traced peak falls by more than 3 MiB.
+    peaks = {}
+    for period in (16, 23):
+        tracemalloc.start()
+        try:
+            closed_form_distribution(period, 1 << 20)
+            peaks[period] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] + (3 << 20) <= peaks[23]
 
 
 def test_closed_form_distribution_rejects_register_over_budget():
