@@ -44,8 +44,7 @@ CIRCUIT_MAX_AMPLITUDES = 1 << 26
 # its Q/(2*gcd(P, Q)) + 1-entry sin^2 table plus its Q-entry result take
 # 3 GiB at 2**28 in the worst case, odd P.
 CLOSED_FORM_MAX_Q = 1 << 28
-# Entries per batch of the closed form: table entries built from Python
-# floats, and outcomes evaluated, at a time.
+# Outcomes the closed form evaluates per batch.
 SIN2_BATCH = 1 << 16
 
 
@@ -282,21 +281,19 @@ def closed_form_prob(y: int, P: int, Q: int) -> float:
 
 def _sin2_table(den: int, step: int) -> np.ndarray:
     """sin^2(pi*k/den) for k = 0, step, 2*step, ... <= den/2, den//(2*step) + 1
-    entries, each as _sin2_pi_ratio computes it.
+    entries, each bit for bit as _sin2_pi_ratio computes it, built in place.
 
-    The angle math.pi * k / den is two correctly rounded float64 operations
-    on exact operands, so numpy forms the same angles.  The sine and the
-    square stay Python's math.sin and ** 2: numpy's x*x differs from ** 2
-    in the last bit on some entries, and np.sin need not match math.sin
-    on every platform.  The table is built
-    SIN2_BATCH entries at a time, so few Python floats are alive at once.
+    pi*k/den is the same two correctly rounded operations on the exact
+    float64 k.  np.float_power(s, 2) calls the C pow that s ** 2 calls
+    (s*s, as np.square computes it, differs in the last bit on some
+    entries), and np.sin gives what math.sin gives; the test suite checks
+    both on every angle of the Q = 2**20 table.
     """
-    table = np.empty(den // (2 * step) + 1)
-    sin = math.sin
-    for start in range(0, table.size, SIN2_BATCH):
-        k = np.arange(start, min(start + SIN2_BATCH, table.size), dtype=np.float64) * step
-        table[start : start + k.size] = [sin(a) ** 2 for a in (math.pi * k / den).tolist()]
-    return table
+    table = np.arange(0, den // 2 + 1, step, dtype=np.float64)
+    table *= math.pi
+    table /= den
+    np.sin(table, out=table)
+    return np.float_power(table, 2, out=table)
 
 
 def closed_form_distribution(P: int, Q: int) -> OutcomeDistribution:

@@ -250,16 +250,24 @@ def test_closed_form_distribution_takes_one_sine_per_table_entry(monkeypatch, pe
     # The table holds sin^2(pi*k/Q) for the multiples k of gcd(P, Q) up to
     # Q/2 only: Q/(2*gcd) + 1 sines, 2**15 + 1 at gcd 16 and 2**19 + 1 at gcd 1.
     calls = 0
-    sin = math.sin
+    sin = np.sin
 
-    def counting_sin(a):
+    def counting_sin(x, *args, **kwargs):
         nonlocal calls
-        calls += 1
-        return sin(a)
+        calls += np.size(x)
+        return sin(x, *args, **kwargs)
 
-    monkeypatch.setattr(math, "sin", counting_sin)
+    monkeypatch.setattr(np, "sin", counting_sin)
     closed_form_distribution(period, 1 << 20)
     assert calls == sines
+
+
+@pytest.mark.parametrize("den, step", [(1 << 20, 1), (6000, 3), (96, 6)])
+def test_sin2_table_is_the_scalar_square_of_the_sine_bitwise(den, step):
+    # np.sin and np.float_power must round as math.sin and ** 2 do on every
+    # angle; no bitwise distribution case reaches the Q = 2**20 table.
+    scalar = [math.sin(math.pi * k / den) ** 2 for k in range(0, den // 2 + 1, step)]
+    assert np.array_equal(engine._sin2_table(den, step), scalar)
 
 
 def test_closed_form_distribution_table_shrinks_with_the_gcd():
