@@ -247,43 +247,83 @@ def _row_numbers(start: int, count: int, width: int) -> np.ndarray:
     return words
 
 
-def _write_csv(probs, out_path: str | None) -> None:
-    """Write the ``y,prob`` CSV, each probability printed as ``%.17g`` prints it.
+def _format_cells(values: np.ndarray) -> np.ndarray:
+    """The ``,%.17g\\n`` cell of each value, one 32-byte void each with zero
+    bytes as gaps.
 
-    Rows go out CSV_CHUNK at a time as one byte matrix, the row number's
-    words and then the value's cell, with the gaps dropped.  A row's cell
-    is spelled from the digits ``_significands`` gives its value.  The rows
-    it is not certain of are formatted by ``format`` instead, once per run
-    of equal bit patterns among them: 0.0 and -0.0 keep their own text,
-    and the zeros between the peaks of a power-of-two period cost one call
-    per run.  Memory is one chunk and its temporaries, whatever the length
-    of ``probs``.
+    A cell is spelled from the digits ``_significands`` gives its value.
+    The values it is not certain of are formatted by ``format`` instead,
+    once per run of equal bit patterns among them: 0.0 and -0.0 keep their
+    own text, and the zeros between the peaks of a power-of-two period
+    cost one call per run.
     """
-    values = np.ascontiguousarray(probs, dtype=np.float64)
-    width = -(-len(str(max(values.size - 1, 0))) // 4)
-    row = np.dtype([("y", np.uint32, (width,)), ("cell", np.uint32, (8,))])
-    rows = np.empty(min(values.size, CSV_CHUNK), dtype=row)
+    digits, exponent = _significands(values)
+    cells = _cells(digits, exponent).view("V32").reshape(-1)
+    unsure = np.flatnonzero(digits < 0)
+    bits = values.view(np.int64)[unsure]
+    first = np.ones(bits.size, dtype=bool)
+    first[1:] = bits[1:] != bits[:-1]
+    texts = (format(v, ".17g").encode("ascii") for v in values[unsure[first]].tolist())
+    formatted = _words((b"," + t).ljust(31, b"\0") + b"\n" for t in texts)
+    cells[unsure] = formatted.view("V32")[np.cumsum(first) - 1]
+    return cells
+
+
+@contextlib.contextmanager
+def _csv_sink(out_path: str | None):
+    """A byte writer to the file ``out_path``, created or truncated here,
+    or to stdout when there is none.  An unwritable path is a ValueError."""
+    if not out_path:
+        yield lambda data: sys.stdout.write(data.decode("ascii"))
+        return
     try:
-        sink = open(out_path, "wb") if out_path else contextlib.nullcontext()
+        handle = open(out_path, "wb")
     except OSError as exc:
         raise ValueError(f"cannot write the CSV to {out_path}: {exc.strerror}") from None
-    with sink as handle:
-        write = handle.write if handle else lambda data: sys.stdout.write(data.decode("ascii"))
-        write(b"y,prob\n")
+    with handle:
+        yield handle.write
+
+
+def _write_rows(dist: engine.OutcomeDistribution, write) -> None:
+    """Write the ``y,prob`` CSV of ``dist`` through ``write``, each
+    probability printed as ``%.17g`` prints it.
+
+    Rows go out CSV_CHUNK at a time as one byte matrix, the row number's
+    words and then the value's cell, with the gaps dropped.  When the
+    distribution stores at most about a quarter as many values as it has
+    outcomes (half a period, for every even period P), each value's cell
+    is formatted once, CSV_CHUNK values at a time, into a table of 32
+    bytes per value, no more than 8 bytes per outcome, and each chunk
+    gathers its rows' cells from it.  Otherwise each chunk formats its
+    rows' values.  Memory beyond that table is one chunk and its
+    temporaries, whatever the number of outcomes.
+    """
+    values = dist.values
+    width = -(-len(str(max(dist.size - 1, 0))) // 4)
+    row = np.dtype([("y", np.uint32, (width,)), ("cell", "V32")])
+    rows = np.empty(min(dist.size, CSV_CHUNK), dtype=row)
+    table = None
+    if 4 * (values.size - 1) <= dist.size:
+        table = np.empty(values.size, dtype="V32")
         for start in range(0, values.size, CSV_CHUNK):
-            chunk = rows[: min(CSV_CHUNK, values.size - start)]
-            part = values[start : start + chunk.size]
-            digits, exponent = _significands(part)
-            chunk["cell"] = _cells(digits, exponent)
-            unsure = np.flatnonzero(digits < 0)
-            bits = part.view(np.int64)[unsure]
-            first = np.ones(bits.size, dtype=bool)
-            first[1:] = bits[1:] != bits[:-1]
-            texts = (format(v, ".17g").encode("ascii") for v in part[unsure[first]].tolist())
-            formatted = _words((b"," + t).ljust(31, b"\0") + b"\n" for t in texts)
-            chunk["cell"].view("V32")[unsure, 0] = formatted.view("V32")[np.cumsum(first) - 1]
-            chunk["y"] = _row_numbers(start, chunk.size, width)
-            write(chunk.tobytes().translate(None, b"\0"))
+            table[start : start + CSV_CHUNK] = _format_cells(values[start : start + CSV_CHUNK])
+    write(b"y,prob\n")
+    for start in range(0, dist.size, CSV_CHUNK):
+        chunk = rows[: min(CSV_CHUNK, dist.size - start)]
+        index = dist.value_index(np.arange(start, start + chunk.size, dtype=np.int64))
+        chunk["cell"] = _format_cells(values[index]) if table is None else np.take(table, index)
+        chunk["y"] = _row_numbers(start, chunk.size, width)
+        write(chunk.tobytes().translate(None, b"\0"))
+
+
+def _write_csv(dist, out_path: str | None) -> None:
+    """Write the ``y,prob`` CSV of ``dist``, an OutcomeDistribution or one
+    probability per outcome, to ``out_path`` or stdout (see _write_rows)."""
+    if not isinstance(dist, engine.OutcomeDistribution):
+        values = np.ascontiguousarray(dist, dtype=np.float64)
+        dist = engine.OutcomeDistribution(values, values.size)
+    with _csv_sink(out_path) as write:
+        _write_rows(dist, write)
 
 
 @functools.lru_cache(maxsize=None)
@@ -338,17 +378,28 @@ def cmd_factor(args) -> int:
 
 
 def cmd_distribution(args) -> int:
+    """The distribution as CSV, or --compare's JSON.
+
+    Every check that can reject comes before the work it guards.  The
+    circuit decides its budget before anything of register size exists,
+    and runs first, so neither the order loop nor the closed form runs for
+    a circuit that cannot run.  The closed form's Q budget is checked
+    before the order loop.  --out is created or truncated only once no
+    check can reject the input: with --closed-form after the order loop
+    and before the closed form, so an unwritable path exits 2 before that
+    work; with --simulate after the circuit.
+    """
     q_total = engine.register_size(args.N)
     f = engine.ModExpFunction(args.m, args.N)
-    # The circuit runs first: it decides its budget before anything of
-    # register size exists, and neither the order loop nor the closed
-    # form's sin^2 table runs for a circuit that cannot run.
-    if args.simulate or args.compare:
-        probs = simulated = engine.simulated_distribution(f).probs
-    if not args.simulate:
-        period = numtheory.multiplicative_order(args.m, args.N)
-        probs = closed = engine.closed_form_distribution(period, q_total).probs
+    if args.simulate:
+        _write_csv(engine.simulated_distribution(f), args.out)
+        return EXIT_OK
     if args.compare:
+        simulated = engine.simulated_distribution(f).probs
+    engine.check_closed_form_budget(q_total)
+    period = numtheory.multiplicative_order(args.m, args.N)
+    if args.compare:
+        closed = engine.closed_form_distribution(period, q_total).probs
         payload = {
             "manifest": _manifest(args, {"N": args.N, "m": args.m, "mode": "compare"}),
             "N": args.N,
@@ -361,7 +412,8 @@ def cmd_distribution(args) -> int:
         }
         _print_json(payload)
         return EXIT_OK
-    _write_csv(probs, args.out)
+    with _csv_sink(args.out) as write:
+        _write_rows(engine.closed_form_distribution(period, q_total), write)
     return EXIT_OK
 
 

@@ -41,8 +41,8 @@ DEFAULT_MAX_N = 10**6
 # complex128, before the transform's copies), checked before the circuit starts.
 CIRCUIT_MAX_AMPLITUDES = 1 << 26
 # Largest register size the closed-form distribution accepts, set by memory:
-# its Q/(2*gcd(P, Q)) + 1-entry sin^2 table plus its Q-entry result take
-# 3 GiB at 2**28 in the worst case, odd P.
+# its sin^2 table and its result each hold Q/(2*gcd(P, Q)) + 1 doubles,
+# 2 GiB together at 2**28 in the worst case, odd P.
 CLOSED_FORM_MAX_Q = 1 << 28
 # Outcomes the closed form evaluates per batch.
 SIN2_BATCH = 1 << 16
@@ -97,11 +97,39 @@ class JointState:
         return self.rows.reshape(-1)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
-    """Measurement distribution over register-1 outcomes y in {0..Q-1}."""
+    """Measurement distribution over register-1 outcomes y in {0..size-1}.
 
-    probs: np.ndarray
+    With ``period`` None, ``values`` holds p(y) for every outcome.
+    Otherwise p has that period and is symmetric within it, p(y) =
+    p(period - y), and ``values`` holds p(0..period//2) alone;
+    ``value_index`` finds any outcome's entry.
+    """
+
+    values: np.ndarray
+    size: int
+    period: int | None = None
+
+    def value_index(self, y):
+        """Index into ``values`` of outcome y (an int or an int64 array):
+        y itself, or min(y mod period, period - y mod period)."""
+        if self.period is None:
+            return y
+        y = y % self.period
+        return np.minimum(y, self.period - y)
+
+    @property
+    def probs(self) -> np.ndarray:
+        """p(y) for every outcome y; built on each read when ``period`` is set."""
+        if self.period is None:
+            return self.values
+        half, period = self.values, self.period
+        probs = np.empty(self.size)
+        probs[: half.size] = half
+        probs[half.size : period] = half[period - half.size : 0 : -1]
+        probs.reshape(-1, period)[1:] = probs[:period]
+        return probs
 
 
 def register_size(n: int) -> int:
@@ -124,6 +152,15 @@ def check_circuit_budget(rows: int, q_total: int) -> None:
         raise CapacityError(
             f"the circuit needs {rows} register-2 rows of Q={q_total} "
             f"amplitudes, past the budget of 2**26 = {CIRCUIT_MAX_AMPLITUDES} amplitudes"
+        )
+
+
+def check_closed_form_budget(q_total: int) -> None:
+    """Raise CapacityError if a register of size Q is past CLOSED_FORM_MAX_Q."""
+    if q_total > CLOSED_FORM_MAX_Q:
+        raise CapacityError(
+            f"register size {q_total} exceeds the closed-form budget Q <= 2**28 "
+            "(its sin^2 table and result take up to 2 GiB there)"
         )
 
 
@@ -174,7 +211,8 @@ def apply_modexp_entangler(state: JointState, f: ModExpFunction) -> JointState:
 
 def reg1_distribution(state: JointState) -> OutcomeDistribution:
     """Probability of each register-1 outcome: column sums of |amplitude|^2."""
-    return OutcomeDistribution(_probabilities(state.rows).sum(axis=0))
+    probs = _probabilities(state.rows).sum(axis=0)
+    return OutcomeDistribution(probs, probs.size)
 
 
 def draw_outcome(cumulative: np.ndarray, u):
@@ -194,9 +232,9 @@ def draw_outcome(cumulative: np.ndarray, u):
 def check_outcome(dist: OutcomeDistribution, y: int) -> int:
     """Return a forced outcome y after checking it can be measured at all:
     in the sample space [0, Q) and of nonzero probability."""
-    if not 0 <= y < dist.probs.size:
-        raise ValueError(f"outcome {y} outside the sample space of size {dist.probs.size}")
-    if dist.probs[y] == 0.0:
+    if not 0 <= y < dist.size:
+        raise ValueError(f"outcome {y} outside the sample space of size {dist.size}")
+    if dist.values[dist.value_index(y)] == 0.0:
         raise ValueError(f"outcome {y} has zero probability")
     return y
 
@@ -297,8 +335,8 @@ def _sin2_table(den: int, step: int) -> np.ndarray:
 
 
 def closed_form_distribution(P: int, Q: int) -> OutcomeDistribution:
-    """The closed form for period P over the whole sample space of size Q,
-    from int64 residues.
+    """The closed form for period P over the sample space of size Q, from
+    int64 residues, stored as half a period.
 
     Bit for bit what ``closed_form_prob`` gives at each y, in the same
     operation order.  Every sine argument is pi*k/Q for an integer k that
@@ -310,18 +348,15 @@ def closed_form_distribution(P: int, Q: int) -> OutcomeDistribution:
     g = gcd(P, Q), and so is Q, so the residue is g times
     y * ((c mod Q)/g) mod Q/g, below 2**56 at Q <= 2**28.  Hence only
     the table entries with g | k are read, Q/(2g) + 1 of them, and the
-    distribution repeats with period Q/g: only the outcomes y < Q/g are
-    evaluated, SIN2_BATCH at a time and written straight into the result
-    so the temporaries stay small, and one copy tiles them over the
-    rest.  A register past CLOSED_FORM_MAX_Q is refused before the table
-    exists.
+    distribution repeats with period Q/g.  At period - y every residue is
+    negated, which folds to the same table entries, so p(y) = p(period -
+    y) bit for bit: only the outcomes y <= period/2 are evaluated,
+    SIN2_BATCH at a time and written straight into the result so the
+    temporaries stay small.  A register past CLOSED_FORM_MAX_Q is refused
+    before the table exists.
     """
     _, r, p0 = _split(P, Q)
-    if Q > CLOSED_FORM_MAX_Q:
-        raise CapacityError(
-            f"register size {Q} exceeds the closed-form budget Q <= 2**28 "
-            "(its sin^2 table and result take up to 3 GiB there)"
-        )
+    check_closed_form_budget(Q)
     g = math.gcd(P, Q)
     period = Q // g
     sin2 = _sin2_table(Q, g)
@@ -333,9 +368,9 @@ def closed_form_distribution(P: int, Q: int) -> OutcomeDistribution:
         return sin2[residue]
 
     # (IEEE products commute, so sin2 * r is bit for bit r * sin2.)
-    probs = np.full(Q, p0)
-    for start in range(0, period, SIN2_BATCH):
-        y = np.arange(start, min(start + SIN2_BATCH, period), dtype=np.int64)
+    half = np.full(period // 2 + 1, p0)
+    for start in range(0, half.size, SIN2_BATCH):
+        y = np.arange(start, min(start + SIN2_BATCH, half.size), dtype=np.int64)
         t, tq, tq1 = (y * (c % Q // g) for c in (P, r, P - r))
         for residue in (t, tq, tq1):
             residue %= period
@@ -345,6 +380,5 @@ def closed_form_distribution(P: int, Q: int) -> OutcomeDistribution:
         nonzero = t != 0
         denominator = sin2_at(t)
         denominator *= float(Q * Q)
-        np.divide(numerator, denominator, out=probs[start : start + t.size], where=nonzero)
-    probs.reshape(g, period)[1:] = probs[:period]
-    return OutcomeDistribution(probs)
+        np.divide(numerator, denominator, out=half[start : start + t.size], where=nonzero)
+    return OutcomeDistribution(half, Q, period)

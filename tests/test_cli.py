@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, JSON/CSV shapes, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import support
-from shorlab import cli, numtheory
+from shorlab import cli, engine, numtheory
 from shorlab.engine import closed_form_distribution, closed_form_prob
 
 
@@ -278,6 +279,60 @@ def test_circuit_budget_is_checked_before_the_order_loop(capsys, monkeypatch):
     for argv in (("montecarlo", "4097", "2", "10"), ("distribution", "4097", "2", "--compare")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "2**26" in err, argv
+
+
+def test_closed_form_budget_is_checked_before_the_order_loop(capsys, monkeypatch):
+    # N = 16385 needs Q = 2**29, past the closed form's Q <= 2**28, which
+    # is decided from Q alone.  The brute-force order loop (up to N - 1
+    # steps) runs only for a register that fits.
+    def order_loop(m, n):
+        raise AssertionError(f"order of {m} mod {n} computed before the closed form's budget")
+
+    monkeypatch.setattr(numtheory, "multiplicative_order", order_loop)
+    code, out, err = run_cli(capsys, "distribution", "16385", "2", "--closed-form")
+    assert code == 2 and out == "" and "Q <= 2**28" in err
+
+
+def test_unwritable_out_is_rejected_before_the_closed_form(capsys, monkeypatch, tmp_path):
+    # --out is opened after the last check that can reject and before the
+    # closed form runs, so an unwritable path exits 2 without that work.
+    def closed_form(period, q_total):
+        raise AssertionError("closed form computed before --out was opened")
+
+    monkeypatch.setattr(engine, "closed_form_distribution", closed_form)
+    out_path = tmp_path / "no-such-dir" / "x.csv"
+    code, out, err = run_cli(capsys, "distribution", "1023", "2", "--closed-form", "--out", str(out_path))
+    assert code == 2 and out == "" and "cannot write the CSV" in err
+
+
+def test_closed_form_csv_from_half_a_period_is_the_naive_csv(capsys):
+    # Each writer path against the naive writer over the scalar closed
+    # form: periods shorter and longer than a chunk, odd P (each chunk
+    # formats its own values) and even P (one table of cells).
+    for period, q_total in ((4, 1 << 15), (6, 1 << 15), (23, 1 << 15), (1, 16), (3, 2)):
+        dist = closed_form_distribution(period, q_total)
+        assert dist.values.size == q_total // math.gcd(period, q_total) // 2 + 1
+        cli._write_csv(dist, None)
+        scalar = [closed_form_prob(y, period, q_total) for y in range(q_total)]
+        assert capsys.readouterr().out == support.naive_csv(scalar), (period, q_total)
+
+
+def test_closed_form_csv_peaks_below_a_q_length_array(tmp_path):
+    # Q = 2**20: the whole distribution alone would take 8 MiB.  At P = 5
+    # (gcd 1) the half period and the sin^2 table take 4 MiB each, and the
+    # writer formats chunk by chunk; at P = 10 (gcd 2) the writer's table
+    # of cells takes 8 MiB next to the 2 MiB half period.  Before the CSV
+    # was written from half a period the peaks were 16.6 and 14.6 MiB.
+    out = str(tmp_path / "q20.csv")
+    cli.main(["distribution", "15", "2", "--closed-form", "--out", out])  # first-use caches
+    for m in ("4", "2"):
+        tracemalloc.start()
+        try:
+            assert cli.main(["distribution", "1023", m, "--closed-form", "--out", out]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 << 20, m
 
 
 def test_closed_form_over_budget_is_rejected_before_allocating():

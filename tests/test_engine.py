@@ -209,6 +209,17 @@ def test_closed_form_exact_divisor_case():
     assert np.count_nonzero(dist.probs > 1e-12) == 4
 
 
+def test_check_outcome_reads_half_a_period():
+    # P = 4 divides Q = 256: period 64, held as its 33 values y = 0..32,
+    # and only the multiples of 64 can be measured.
+    dist = closed_form_distribution(4, 256)
+    assert dist.values.size == 33
+    assert engine.check_outcome(dist, 192) == 192
+    for y, message in ((191, "zero probability"), (256, "outside the sample space")):
+        with pytest.raises(ValueError, match=message):
+            engine.check_outcome(dist, y)
+
+
 def test_closed_form_distribution_normalization_and_point_mass():
     dist = closed_form_distribution(6, 16384)
     assert abs(dist.probs.sum() - 1.0) < 1e-9
@@ -271,8 +282,8 @@ def test_sin2_table_is_the_scalar_square_of_the_sine_bitwise(den, step):
 
 
 def test_closed_form_distribution_table_shrinks_with_the_gcd():
-    # Both results take 8 MiB; the table takes 4 MiB at gcd 1 but 0.25 MiB
-    # at gcd 16, so the traced peak falls by more than 3 MiB.
+    # The table and the half-period result take 4 MiB each at gcd 1 but
+    # 0.25 MiB each at gcd 16, so the traced peak falls by more than 3 MiB.
     peaks = {}
     for period in (16, 23):
         tracemalloc.start()

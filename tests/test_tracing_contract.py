@@ -58,3 +58,13 @@ def test_tracer_counts_qft2_amplitudes():
         engine.simulated_distribution(ModExpFunction(3, 91))
     assert {"engine.qft1", "engine.qft2", "engine.apply_modexp_entangler"} <= set(tracer.names)
     assert tracer.counts["engine.amplitudes"] == q_total * 6
+
+
+def test_tracer_counts_closed_form_outcomes(tmp_path):
+    # The closed form keeps half a period; the count is still every outcome.
+    tracer = load_tracing().Tracer()
+    with tracer.installed(MODULES):
+        cli.main(["distribution", "91", "3", "--closed-form", "--out", str(tmp_path / "x.csv")])
+    spans = [tracer.names[i] for i in tracer.name]
+    assert spans.count("engine.closed_form_distribution") == 1
+    assert tracer.counts["engine.closed_form_outcomes"] == 16384
