@@ -4,7 +4,8 @@ Output contract:
   * one JSON document per run on stdout (UTF-8, sorted keys), or CSV with
     header ``y,prob`` for the distribution paths;
   * exit 0 on success, 1 on a replication mismatch, 2 on a precondition
-    rejection, 3 when retries are exhausted, 64 on usage errors.
+    rejection or an --out path or stdout that cannot be written, 3 when
+    retries are exhausted, 64 on usage errors.
 
 Identical invocations with identical seeds produce byte-identical JSON
 except for the two volatile manifest fields (timestamp_utc, elapsed_s).
@@ -18,6 +19,7 @@ import dataclasses
 import decimal
 import functools
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -34,9 +36,8 @@ EXIT_USAGE = 64
 
 SCHEMA_VERSION = 1
 
-# Rows per write of a distribution CSV.
-CSV_CHUNK = 1 << 14
-# Decimal digits are looked up four at a time: GROUP = 10**4 entries.
+# Decimal digits are looked up four at a time, GROUP = 10**4 entries, and
+# a distribution CSV goes out GROUP rows at a time.
 GROUP = 10**4
 # Veltkamp's splitting constant 2**27 + 1, and the largest power of ten
 # the digit extraction scales by: 10**(16 - E) with E >= -281.
@@ -127,24 +128,22 @@ def _pow10_split() -> tuple[np.ndarray, ...]:
 def _glyph_tables() -> dict[str, np.ndarray]:
     """Native words that spell out a CSV row; zero bytes are gaps, dropped on output.
 
-    ``group`` holds a 4-digit group in four sections of GROUP entries:
-    with trailing zeros dropped, in full, with leading zeros dropped (0
-    prints nothing), and the lone "0" of row number 0.  A value's cell is
-    8 bytes of ``prefix``, or-ed with ``lead`` (the leading digit at byte
-    6), four groups of its other 16 digits, and 8 bytes of ``tail``.  The
-    prefix is the comma, then "0." and z zeros in the fixed form (index
-    z = 0..3), or nothing in the scientific form (index 4, or 5 to put a
-    point after the leading digit).  The tail is "e-" and at least two
-    exponent digits (index -E; index 0 for the fixed form: none), then
-    the newline.
+    ``group`` holds a 4-digit group in three sections of GROUP entries:
+    with trailing zeros dropped, in full, and with leading zeros dropped
+    (0 prints "0").  A value's cell is 8 bytes of ``prefix``, or-ed with
+    ``lead`` (the leading digit at byte 6), four groups of its other 16
+    digits, and 8 bytes of ``tail``.  The prefix is the comma, then "0."
+    and z zeros in the fixed form (index z = 0..3), or nothing in the
+    scientific form (index 4, or 5 to put a point after the leading
+    digit).  The tail is "e-" and at least two exponent digits (index -E;
+    index 0 for the fixed form: none), then the newline.
     """
     groups = [b"%04d" % g for g in range(GROUP)]
     return {
         "group": _words(
             [g.rstrip(b"0").ljust(4, b"\0") for g in groups]
             + groups
-            + [g.lstrip(b"0").rjust(4, b"\0") for g in groups]
-            + [b"\0\0\0" b"0"]
+            + [(b"%d" % g).rjust(4, b"\0") for g in range(GROUP)]
         ),
         "prefix": _words(
             [(b",0." + b"0" * z).ljust(8, b"\0") for z in range(4)]
@@ -230,20 +229,16 @@ def _cells(digits: np.ndarray, exponent: np.ndarray) -> np.ndarray:
 
 
 def _row_numbers(start: int, count: int, width: int) -> np.ndarray:
-    """Row numbers start..start+count-1 in decimal, as ``width`` words of
-    4-digit groups with the leading zeros as gaps."""
+    """Row numbers start..start+count-1, for a start that is a multiple of
+    GROUP and at most GROUP rows, as ``width`` words with gaps in front:
+    the same prefix start // GROUP in every row (none in chunk 0), then
+    the last four digits, in full or in chunk 0 without leading zeros."""
     table = _glyph_tables()["group"]
-    y = np.arange(start, start + count, dtype=np.int64)
+    prefix = (b"%d" % (start // GROUP) if start else b"").rjust(4 * (width - 1), b"\0")
     words = np.empty((count, width), dtype=np.uint32)
-    for i in range(width):
-        scale = GROUP ** (width - 1 - i)
-        group = y // scale
-        group -= group // GROUP * GROUP
-        # In full after a nonzero group, else with its leading zeros dropped.
-        group += np.where(y >= scale * GROUP, GROUP, 2 * GROUP)
-        words[:, i] = np.take(table, group)
-    if start == 0:
-        words[0, -1] = table[3 * GROUP]
+    words[:, :-1] = _words([prefix])
+    section = GROUP if start else 2 * GROUP
+    words[:, -1] = table[section : section + count]
     return words
 
 
@@ -272,27 +267,27 @@ def _format_cells(values: np.ndarray) -> np.ndarray:
 @contextlib.contextmanager
 def _csv_sink(out_path: str | None):
     """A byte writer to the file ``out_path``, created or truncated here,
-    or to stdout when there is none.  An unwritable path is a ValueError."""
+    or to stdout when there is none.  A path that cannot be opened,
+    written or closed is a ValueError."""
     if not out_path:
         yield lambda data: sys.stdout.write(data.decode("ascii"))
         return
     try:
-        handle = open(out_path, "wb")
+        with open(out_path, "wb") as handle:
+            yield handle.write
     except OSError as exc:
         raise ValueError(f"cannot write the CSV to {out_path}: {exc.strerror}") from None
-    with handle:
-        yield handle.write
 
 
 def _write_rows(dist: engine.OutcomeDistribution, write) -> None:
     """Write the ``y,prob`` CSV of ``dist`` through ``write``, each
     probability printed as ``%.17g`` prints it.
 
-    Rows go out CSV_CHUNK at a time as one byte matrix, the row number's
+    Rows go out GROUP at a time as one byte matrix, the row number's
     words and then the value's cell, with the gaps dropped.  When the
     distribution stores at most about a quarter as many values as it has
     outcomes (half a period, for every even period P), each value's cell
-    is formatted once, CSV_CHUNK values at a time, into a table of 32
+    is formatted once, GROUP values at a time, into a table of 32
     bytes per value, no more than 8 bytes per outcome, and each chunk
     gathers its rows' cells from it.  Otherwise each chunk formats its
     rows' values.  Memory beyond that table is one chunk and its
@@ -301,15 +296,15 @@ def _write_rows(dist: engine.OutcomeDistribution, write) -> None:
     values = dist.values
     width = -(-len(str(max(dist.size - 1, 0))) // 4)
     row = np.dtype([("y", np.uint32, (width,)), ("cell", "V32")])
-    rows = np.empty(min(dist.size, CSV_CHUNK), dtype=row)
+    rows = np.empty(min(dist.size, GROUP), dtype=row)
     table = None
     if 4 * (values.size - 1) <= dist.size:
         table = np.empty(values.size, dtype="V32")
-        for start in range(0, values.size, CSV_CHUNK):
-            table[start : start + CSV_CHUNK] = _format_cells(values[start : start + CSV_CHUNK])
+        for start in range(0, values.size, GROUP):
+            table[start : start + GROUP] = _format_cells(values[start : start + GROUP])
     write(b"y,prob\n")
-    for start in range(0, dist.size, CSV_CHUNK):
-        chunk = rows[: min(CSV_CHUNK, dist.size - start)]
+    for start in range(0, dist.size, GROUP):
+        chunk = rows[: min(GROUP, dist.size - start)]
         index = dist.value_index(np.arange(start, start + chunk.size, dtype=np.int64))
         chunk["cell"] = _format_cells(values[index]) if table is None else np.take(table, index)
         chunk["y"] = _row_numbers(start, chunk.size, width)
@@ -508,7 +503,10 @@ def cmd_replicate(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command.  An input the library rejects, wherever it is
-    rejected, becomes one ``shorlab <command>: ...`` line and exit 2."""
+    rejected, becomes one ``shorlab <command>: ...`` line and exit 2, and
+    so does stdout closed early or full.  --out is the only file a
+    command opens, and ``_csv_sink`` reports its errors, so any other
+    OSError is a failed write to stdout."""
     args = build_parser().parse_args(argv)
     handlers = {
         "factor": cmd_factor,
@@ -518,17 +516,28 @@ def main(argv: list[str] | None = None) -> int:
         "replicate": cmd_replicate,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
     except pipeline.PreconditionError as exc:
         message = f"precondition failed ({exc.check}): {exc}"
     except (ValueError, engine.CapacityError) as exc:
         message = str(exc)
+    except OSError as exc:
+        message = f"cannot write to stdout: {exc.strerror}"
     print(f"shorlab {args.command}: {message}", file=sys.stderr)
     return EXIT_PRECONDITION
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # main has reported the failed write; send what is still buffered
+        # to /dev/null, so the interpreter's flush at exit is quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

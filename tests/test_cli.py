@@ -149,16 +149,33 @@ def test_write_csv_matches_naive_writer(capsys, tmp_path):
         [0.0, -0.0, -5e-324, -2.2250738585072014e-308, 1.0, 0.25, 1 / 3, 3.189335551743533e-07]
     )
     rng = np.random.default_rng(8)
-    probs = pool[rng.integers(0, pool.size, size=2 * cli.CSV_CHUNK + 123)]
+    probs = pool[rng.integers(0, pool.size, size=2 * cli.GROUP + 123)]
     expected = support.naive_csv(probs)
     cli._write_csv(probs, None)
     assert capsys.readouterr().out == expected
     out_path = tmp_path / "probs.csv"
     cli._write_csv(probs, str(out_path))
     assert out_path.read_bytes() == expected.encode("utf-8")
-    for probs in ([0.5], [0.5, 0.5], np.linspace(0, 1, cli.CSV_CHUNK)):
+    for probs in ([0.5], [0.5, 0.5], np.linspace(0, 1, cli.GROUP)):
         cli._write_csv(probs, None)
         assert capsys.readouterr().out == support.naive_csv(probs)
+
+
+def test_row_numbers_at_every_width():
+    # Chunks from the first to the last one of Q = 2**28, which is short,
+    # at every width whose four-digit groups hold their row numbers.
+    for start, count in (
+        (0, cli.GROUP),
+        (10**4, cli.GROUP),
+        (99_990_000, cli.GROUP),
+        (10**8, cli.GROUP),
+        (268_430_000, 2**28 - 268_430_000),
+    ):
+        for width in range(-(-len(str(start + count - 1)) // 4), 4):
+            words = cli._row_numbers(start, count, width)
+            assert words.shape == (count, width)
+            texts = [row.tobytes().replace(b"\0", b"") for row in words]
+            assert texts == [b"%d" % y for y in range(start, start + count)]
 
 
 def test_write_csv_formats_a_million_values_as_format_does(tmp_path):
@@ -613,6 +630,21 @@ REJECTED_INPUTS = [
         "cannot write the CSV to /nonexistent-dir/x.csv: No such file or directory",
     ),
     (("distribution", "15", "2", "--out", "/"), "cannot write the CSV to /: Is a directory"),
+    # So is one that fails on write or on close, from either writer path.
+    *(
+        [
+            (
+                ("distribution", "1023", "2", "--closed-form", "--out", "/dev/full"),
+                "cannot write the CSV to /dev/full: No space left on device",
+            ),
+            (
+                ("distribution", "91", "3", "--simulate", "--out", "/dev/full"),
+                "cannot write the CSV to /dev/full: No space left on device",
+            ),
+        ]
+        if os.path.exists("/dev/full")
+        else []
+    ),
 ]
 
 
@@ -624,3 +656,27 @@ def test_rejected_input_is_one_diagnostic_line(capsys, argv, diagnostic):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith(f"shorlab {argv[0]}: ")
     assert diagnostic in err
+
+
+@pytest.mark.parametrize("stdout", ["closed pipe", "/dev/full"])
+@pytest.mark.parametrize(
+    "argv",
+    [("distribution", "1023", "2", "--closed-form"), ("montecarlo", "91", "3", "1000")],
+    ids=["csv", "json"],
+)
+def test_unwritable_stdout_is_one_diagnostic_line(argv, stdout):
+    # A CSV and a JSON command, with stdout closed before the child writes
+    # or full: one line on stderr, exit 2, and nothing from the interpreter
+    # flushing stdout at exit.
+    if stdout == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    sink = subprocess.PIPE if stdout == "closed pipe" else open(stdout, "wb")
+    command = [sys.executable, "-m", "shorlab", *argv]
+    with subprocess.Popen(command, stdout=sink, stderr=subprocess.PIPE, env=env) as child:
+        (child.stdout or sink).close()
+        err = child.stderr.read().decode()
+    reason = "Broken pipe" if stdout == "closed pipe" else "No space left on device"
+    assert (child.returncode, err) == (2, f"shorlab {argv[0]}: cannot write to stdout: {reason}\n")
