@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import dataclasses
 import decimal
+import errno
 import functools
 import json
 import os
@@ -248,19 +249,17 @@ def _format_cells(values: np.ndarray) -> np.ndarray:
 
     A cell is spelled from the digits ``_significands`` gives its value.
     The values it is not certain of are formatted by ``format`` instead,
-    once per run of equal bit patterns among them: 0.0 and -0.0 keep their
-    own text, and the zeros between the peaks of a power-of-two period
-    cost one call per run.
+    once per distinct bit pattern among them: 0.0 and -0.0 keep their own
+    text, and the zeros between the peaks of a power-of-two period cost
+    one call.
     """
     digits, exponent = _significands(values)
     cells = _cells(digits, exponent).view("V32").reshape(-1)
     unsure = np.flatnonzero(digits < 0)
-    bits = values.view(np.int64)[unsure]
-    first = np.ones(bits.size, dtype=bool)
-    first[1:] = bits[1:] != bits[:-1]
-    texts = (format(v, ".17g").encode("ascii") for v in values[unsure[first]].tolist())
+    bits, inverse = np.unique(values.view(np.int64)[unsure], return_inverse=True)
+    texts = (format(v, ".17g").encode("ascii") for v in bits.view(np.float64).tolist())
     formatted = _words((b"," + t).ljust(31, b"\0") + b"\n" for t in texts)
-    cells[unsure] = formatted.view("V32")[np.cumsum(first) - 1]
+    cells[unsure] = formatted.view("V32")[inverse]
     return cells
 
 
@@ -268,8 +267,8 @@ def _format_cells(values: np.ndarray) -> np.ndarray:
 def _csv_sink(out_path: str | None):
     """A byte writer to the file ``out_path``, created or truncated here,
     or to stdout when there is none.  A path that cannot be opened,
-    written or closed is a ValueError."""
-    if not out_path:
+    written or closed, the empty path too, is a ValueError."""
+    if out_path is None:
         yield lambda data: sys.stdout.write(data.decode("ascii"))
         return
     try:
@@ -285,10 +284,10 @@ def _write_rows(dist: engine.OutcomeDistribution, write) -> None:
 
     Rows go out GROUP at a time as one byte matrix, the row number's
     words and then the value's cell, with the gaps dropped.  When the
-    distribution stores at most about a quarter as many values as it has
-    outcomes (half a period, for every even period P), each value's cell
-    is formatted once, GROUP values at a time, into a table of 32
-    bytes per value, no more than 8 bytes per outcome, and each chunk
+    distribution repeats, its period at most half its size, it holds at
+    most a quarter as many values as outcomes, plus one: each value's
+    cell is then formatted once, GROUP values at a time, into a table of
+    32 bytes per value, about 8 bytes per outcome at most, and each chunk
     gathers its rows' cells from it.  Otherwise each chunk formats its
     rows' values.  Memory beyond that table is one chunk and its
     temporaries, whatever the number of outcomes.
@@ -298,7 +297,7 @@ def _write_rows(dist: engine.OutcomeDistribution, write) -> None:
     row = np.dtype([("y", np.uint32, (width,)), ("cell", "V32")])
     rows = np.empty(min(dist.size, GROUP), dtype=row)
     table = None
-    if 4 * (values.size - 1) <= dist.size:
+    if dist.period is not None and dist.period < dist.size:
         table = np.empty(values.size, dtype="V32")
         for start in range(0, values.size, GROUP):
             table[start : start + GROUP] = _format_cells(values[start : start + GROUP])
@@ -311,12 +310,8 @@ def _write_rows(dist: engine.OutcomeDistribution, write) -> None:
         write(chunk.tobytes().translate(None, b"\0"))
 
 
-def _write_csv(dist, out_path: str | None) -> None:
-    """Write the ``y,prob`` CSV of ``dist``, an OutcomeDistribution or one
-    probability per outcome, to ``out_path`` or stdout (see _write_rows)."""
-    if not isinstance(dist, engine.OutcomeDistribution):
-        values = np.ascontiguousarray(dist, dtype=np.float64)
-        dist = engine.OutcomeDistribution(values, values.size)
+def _write_csv(dist: engine.OutcomeDistribution, out_path: str | None) -> None:
+    """Write the ``y,prob`` CSV of ``dist`` to ``out_path`` or stdout (see _write_rows)."""
     with _csv_sink(out_path) as write:
         _write_rows(dist, write)
 
@@ -340,8 +335,12 @@ def build_parser() -> _Parser:
     mode = p_dist.add_mutually_exclusive_group()
     mode.add_argument("--closed-form", action="store_true")
     mode.add_argument("--simulate", action="store_true")
-    mode.add_argument("--compare", action="store_true", help="emit max |closed - simulated|")
-    p_dist.add_argument("--out", default=None, help="CSV path (default: stdout)")
+    compare = mode.add_argument(
+        "--compare", action="store_true", help="emit max |closed - simulated|"
+    )
+    csv_only = p_dist.add_mutually_exclusive_group()
+    csv_only.add_argument("--out", default=None, help="CSV path (default: stdout)")
+    csv_only._group_actions.append(compare)  # --compare writes no CSV
 
     p_cf = sub.add_parser("cf", help="continued-fraction expansion table")
     p_cf.add_argument("numerator", type=int)
@@ -503,10 +502,11 @@ def cmd_replicate(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command.  An input the library rejects, wherever it is
-    rejected, becomes one ``shorlab <command>: ...`` line and exit 2, and
-    so does stdout closed early or full.  --out is the only file a
-    command opens, and ``_csv_sink`` reports its errors, so any other
-    OSError is a failed write to stdout."""
+    rejected, becomes one ``shorlab <command>: ...`` line on stderr (if
+    stderr takes it) and exit 2, and so does stdout closed at start,
+    closed early or full, unless the run writes only to --out.  --out is
+    the only file a command opens, and ``_csv_sink`` reports its errors,
+    so any other OSError is a failed write to stdout."""
     args = build_parser().parse_args(argv)
     handlers = {
         "factor": cmd_factor,
@@ -516,8 +516,11 @@ def main(argv: list[str] | None = None) -> int:
         "replicate": cmd_replicate,
     }
     try:
+        if sys.stdout is None and getattr(args, "out", None) is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))  # fd 1 closed at start
         code = handlers[args.command](args)
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
         return code
     except pipeline.PreconditionError as exc:
         message = f"precondition failed ({exc.check}): {exc}"
@@ -525,14 +528,17 @@ def main(argv: list[str] | None = None) -> int:
         message = str(exc)
     except OSError as exc:
         message = f"cannot write to stdout: {exc.strerror}"
-    print(f"shorlab {args.command}: {message}", file=sys.stderr)
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(f"shorlab {args.command}: {message}", file=sys.stderr)
     return EXIT_PRECONDITION
 
 
 def entry_point() -> None:
     code = main()
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError:
         # main has reported the failed write; send what is still buffered
         # to /dev/null, so the interpreter's flush at exit is quiet too.

@@ -151,13 +151,13 @@ def test_write_csv_matches_naive_writer(capsys, tmp_path):
     rng = np.random.default_rng(8)
     probs = pool[rng.integers(0, pool.size, size=2 * cli.GROUP + 123)]
     expected = support.naive_csv(probs)
-    cli._write_csv(probs, None)
+    cli._write_csv(engine.OutcomeDistribution(probs, probs.size), None)
     assert capsys.readouterr().out == expected
     out_path = tmp_path / "probs.csv"
-    cli._write_csv(probs, str(out_path))
+    cli._write_csv(engine.OutcomeDistribution(probs, probs.size), str(out_path))
     assert out_path.read_bytes() == expected.encode("utf-8")
     for probs in ([0.5], [0.5, 0.5], np.linspace(0, 1, cli.GROUP)):
-        cli._write_csv(probs, None)
+        cli._write_csv(engine.OutcomeDistribution(np.array(probs), len(probs)), None)
         assert capsys.readouterr().out == support.naive_csv(probs)
 
 
@@ -201,7 +201,7 @@ def test_write_csv_formats_a_million_values_as_format_does(tmp_path):
     digits, _ = cli._significands(below_one[below_one > 1e-280])
     assert np.mean(digits < 0) < 1e-4
     out_path = tmp_path / "values.csv"
-    cli._write_csv(values, str(out_path))
+    cli._write_csv(engine.OutcomeDistribution(values, values.size), str(out_path))
     assert out_path.read_bytes() == support.naive_csv(values).encode("ascii")
 
 
@@ -213,7 +213,7 @@ def test_closed_form_csv_traced_peaks_at_q_2_20(tmp_path):
         probs = closed_form_distribution(23, 1 << 20).probs
         _, closed_form_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        cli._write_csv(probs, str(tmp_path / "q20.csv"))
+        cli._write_csv(engine.OutcomeDistribution(probs, probs.size), str(tmp_path / "q20.csv"))
         _, csv_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -334,6 +334,29 @@ def test_closed_form_csv_from_half_a_period_is_the_naive_csv(capsys):
         assert capsys.readouterr().out == support.naive_csv(scalar), (period, q_total)
 
 
+def test_writer_formats_a_repeating_distribution_once_per_stored_value(monkeypatch):
+    # A distribution that repeats within its outcomes has each stored value
+    # formatted once (P = 10: 2**13 + 1 of them); otherwise every row is
+    # (P = 5, whose period is Q, and a simulated distribution).
+    sizes = []
+    format_cells = cli._format_cells
+
+    def counting(values):
+        sizes.append(values.size)
+        return format_cells(values)
+
+    monkeypatch.setattr(cli, "_format_cells", counting)
+    simulated = engine.simulated_distribution(engine.ModExpFunction(2, 15))
+    for dist, formatted in (
+        (closed_form_distribution(10, 2**15), 8193),
+        (closed_form_distribution(5, 2**15), 2**15),
+        (simulated, simulated.size),
+    ):
+        sizes.clear()
+        cli._write_rows(dist, lambda data: None)
+        assert sum(sizes) == formatted
+
+
 def test_closed_form_csv_peaks_below_a_q_length_array(tmp_path):
     # Q = 2**20: the whole distribution alone would take 8 MiB.  At P = 5
     # (gcd 1) the half period and the sin^2 table take 4 MiB each, and the
@@ -399,6 +422,16 @@ def test_distribution_simulate_and_compare(capsys):
     assert payload["max_abs_discrepancy"] < 1e-9
     assert abs(payload["closed_form_sum"] - 1.0) < 1e-9
     assert abs(payload["simulated_sum"] - 1.0) < 1e-9
+
+
+def test_out_is_a_usage_error_with_compare(capsys, tmp_path):
+    # --compare prints JSON, so an --out beside it would be ignored.
+    out_path = tmp_path / "c.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["distribution", "91", "3", "--compare", "--out", str(out_path)])
+    assert excinfo.value.code == 64
+    assert "argument --out: not allowed with argument --compare" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_distribution_rejects_non_unit_base(capsys):
@@ -630,6 +663,11 @@ REJECTED_INPUTS = [
         "cannot write the CSV to /nonexistent-dir/x.csv: No such file or directory",
     ),
     (("distribution", "15", "2", "--out", "/"), "cannot write the CSV to /: Is a directory"),
+    # The empty path is a path, not stdout.
+    (
+        ("distribution", "15", "2", "--out", ""),
+        "cannot write the CSV to : No such file or directory",
+    ),
     # So is one that fails on write or on close, from either writer path.
     *(
         [
@@ -658,25 +696,72 @@ def test_rejected_input_is_one_diagnostic_line(capsys, argv, diagnostic):
     assert diagnostic in err
 
 
-@pytest.mark.parametrize("stdout", ["closed pipe", "/dev/full"])
-@pytest.mark.parametrize(
+def shorlab_child(argv, redirect="", **streams):
+    """Start ``python -m shorlab argv`` with ``redirect`` applied by the
+    shell (``>&-`` closes stdout) and the package on the path."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    command = ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "shorlab", *argv]
+    return subprocess.Popen(command, env=env, **streams)
+
+
+CSV_AND_JSON = pytest.mark.parametrize(
     "argv",
     [("distribution", "1023", "2", "--closed-form"), ("montecarlo", "91", "3", "1000")],
     ids=["csv", "json"],
 )
+
+
+@pytest.mark.parametrize("stdout", ["closed pipe", "/dev/full", "closed at start"])
+@CSV_AND_JSON
 def test_unwritable_stdout_is_one_diagnostic_line(argv, stdout):
-    # A CSV and a JSON command, with stdout closed before the child writes
-    # or full: one line on stderr, exit 2, and nothing from the interpreter
-    # flushing stdout at exit.
+    # A CSV and a JSON command, with stdout closed before the child writes,
+    # full or closed before the child starts: one line on stderr, exit 2,
+    # and nothing from the interpreter flushing stdout at exit.
     if stdout == "/dev/full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    sink = subprocess.PIPE if stdout == "closed pipe" else open(stdout, "wb")
-    command = [sys.executable, "-m", "shorlab", *argv]
-    with subprocess.Popen(command, stdout=sink, stderr=subprocess.PIPE, env=env) as child:
+    if stdout == "closed at start":
+        child = shorlab_child(argv, ">&-", stderr=subprocess.PIPE)
+    else:
+        sink = subprocess.PIPE if stdout == "closed pipe" else open(stdout, "wb")
+        child = shorlab_child(argv, stdout=sink, stderr=subprocess.PIPE)
         (child.stdout or sink).close()
+    with child:
         err = child.stderr.read().decode()
-    reason = "Broken pipe" if stdout == "closed pipe" else "No space left on device"
+    reason = {
+        "closed pipe": "Broken pipe",
+        "/dev/full": "No space left on device",
+        "closed at start": "Bad file descriptor",
+    }[stdout]
     assert (child.returncode, err) == (2, f"shorlab {argv[0]}: cannot write to stdout: {reason}\n")
+
+
+@pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+@CSV_AND_JSON
+def test_unwritable_stderr_still_exits_2(argv, sink):
+    # stdout and stderr on one sink that takes nothing: the diagnostic
+    # cannot be written either, and the exit code still says why.
+    if sink == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    if sink == "closed pipe":
+        child = shorlab_child(argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        child.stdout.close()
+    else:
+        with open(sink, "wb") as full:
+            child = shorlab_child(argv, stdout=full, stderr=full)
+    assert child.wait(timeout=60) == 2
+
+
+def test_streams_closed_at_start(tmp_path):
+    # With stderr closed the diagnostic is dropped, not sent to stdout.
+    with shorlab_child(["factor", "9"], "2>&-", stdout=subprocess.PIPE) as child:
+        out = child.stdout.read()
+    assert (child.returncode, out) == (2, b"")
+    # With stdout closed a run that writes only to --out still succeeds.
+    out_path = tmp_path / "x.csv"
+    argv = ["distribution", "15", "2", "--out", str(out_path)]
+    with shorlab_child(argv, ">&-", stderr=subprocess.PIPE) as child:
+        err = child.stderr.read()
+    assert (child.returncode, err) == (0, b"")
+    assert out_path.read_text().startswith("y,prob\n0,0.25\n")
